@@ -16,19 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import banks, biortho, mra, riesz, wavelets
-from .errors import (
-    DegenerateAngle,
-    EmptyBattery,
-    FrwaveError,
-    GridCoverage,
-    GridMismatch,
-    InputError,
-    NonConvergent,
-    NotRealProfile,
-    RieszLowerBoundZero,
-    SupportTooSmall,
-    TailTooFat,
-)
+from .errors import FrwaveError, InputError
 from .frft import CHIRP, DIRECT, FrFTPlan, frft, inverse_frft
 from .grids import (
     SampledSignal,
@@ -39,10 +27,6 @@ from .grids import (
     write_spectrum_csv,
 )
 from .report import AnalysisReport, RunConfig, dumps_deterministic
-
-_NUMERICAL_ERRORS = (GridMismatch, GridCoverage, TailTooFat, NotRealProfile,
-                     RieszLowerBoundZero, SupportTooSmall, NonConvergent,
-                     EmptyBattery, DegenerateAngle)
 
 _PI_RE = re.compile(r"^(-?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 
@@ -389,16 +373,37 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_negative_angles(argv: list[str]) -> list[str]:
+    """Rewrite `--alpha -pi/3` as `--alpha=-pi/3`.
+
+    argparse reads a separate token that starts with '-' and is not a plain
+    number (such as -pi/3) as an option, not as the value of --alpha.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--alpha" and tok.startswith("-") and _is_angle(tok):
+            out[-1] = f"--alpha={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_angle(text: str) -> bool:
+    try:
+        parse_angle(text)
+    except InputError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_angles(argv))
     try:
         return args.func(args)
     except InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except FrwaveError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

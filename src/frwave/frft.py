@@ -140,13 +140,8 @@ def frft_eval(f: SampledSignal, alpha, u_points: np.ndarray) -> np.ndarray:
 def inverse_frft(F: SpectrumSamples, grid: tuple[float, float, int],
                  method: str = CHIRP) -> SampledSignal:
     """Inversion via the conjugate kernel, i.e. the transform at -alpha."""
-    angle = F.alpha
     g = F.as_signal()
-    if angle.klass in (IDENTITY, REFLECTION):
-        plan = FrFTPlan(angle, (g.t0, g.dt, g.n), grid, method)
-        back = frft(g, plan)
-        return SampledSignal(grid[0], grid[1], back.values)
-    plan = FrFTPlan(angle.negated(), (g.t0, g.dt, g.n), grid, method)
+    plan = FrFTPlan(F.alpha.negated(), (g.t0, g.dt, g.n), grid, method)
     back = frft(g, plan)
     return SampledSignal(grid[0], grid[1], back.values)
 

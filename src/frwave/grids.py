@@ -10,9 +10,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from .errors import DegenerateAngle, InputError
 
@@ -25,6 +27,8 @@ REFLECTION = "ReflectionDegenerate"
 
 # grid points within this fraction of a step of a sample are treated as hits
 HIT_TOL = 1e-8
+# largest step-ratio denominator resample evaluates by polyphase convolution
+RESAMPLE_MAX_DEN = 64
 
 
 @dataclass(frozen=True)
@@ -197,9 +201,54 @@ def sample_at(signal: SampledSignal, points: np.ndarray,
 
 
 def resample(signal: SampledSignal, grid: tuple[float, float, int]) -> SampledSignal:
+    """The signal on the uniform grid (t0, dt, n), with sample_at's values.
+
+    When the step ratio is a small rational p/q the grid splits into q
+    residue classes that each read the source at a fixed offset plus a
+    stride of p samples: hit classes read samples directly, the others are
+    one FFT convolution of the samples with a sinc kernel. This is the same
+    full sinc sum sample_at evaluates point by point, leakage outside the
+    source grid included. Other ratios go through sample_at.
+    """
     t0, dt, n = grid
-    points = t0 + dt * np.arange(n)
-    return SampledSignal(t0, dt, sample_at(signal, points))
+    vals = _resample_polyphase(signal, t0, dt, n)
+    if vals is None:
+        vals = sample_at(signal, t0 + dt * np.arange(n))
+    return SampledSignal(t0, dt, vals)
+
+
+def _resample_polyphase(signal: SampledSignal, t0: float, dt: float,
+                        count: int) -> np.ndarray | None:
+    """Polyphase evaluation for resample, or None when it does not apply."""
+    if count < 1 or not (math.isfinite(t0) and 0.0 < dt < math.inf):
+        return None
+    r = dt / signal.dt
+    ratio = Fraction(r).limit_denominator(RESAMPLE_MAX_DEN)
+    p, q = ratio.numerator, ratio.denominator
+    n = signal.n
+    # the classes' source positions drift from the grid's by at most count
+    # times the ratio's rounding, which must stay at sample_at's own rounding
+    # level; and the convolutions (kernel ~ n + count*r long) must cost less
+    # than sample_at's count*n sinc terms
+    if (p == 0 or abs(r - p / q) > 4.0 * np.finfo(float).eps * r
+            or q * (2 * n + count * r) > count * n):
+        return None
+    v = signal.values
+    out = np.zeros(count, dtype=np.complex128)
+    for s in range(min(q, count)):
+        cls = out[s::q]     # grid points s + l*q read the source at x + l*p
+        l = np.arange(cls.size)
+        x = (t0 + dt * s - signal.t0) / signal.dt
+        if abs(x - round(x)) <= HIT_TOL:
+            idx = round(x) + p * l
+            ok = (idx >= 0) & (idx <= n - 1)
+            cls[ok] = v[idx[ok]]
+        else:
+            # sum_i v[i] sinc(x + l*p - i) is lag n-1 + l*p of v * kern
+            k = math.floor(x)
+            kern = np.sinc((x - k) + np.arange(k - n + 1, k + p * (cls.size - 1) + 1))
+            cls[:] = fftconvolve(v, kern)[n - 1 + p * l]
+    return out
 
 
 def reflected(signal: SampledSignal) -> SampledSignal:

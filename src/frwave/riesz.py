@@ -30,7 +30,7 @@ from .grids import (
     SampledSignal,
     SpectrumSamples,
     as_angle,
-    sample_at,
+    resample,
     trap_weights,
 )
 from .report import AnalysisReport, RunConfig
@@ -127,7 +127,9 @@ def translate_atom(phi: SampledSignal, alpha, n: int,
     angle = as_angle(alpha).require_regular()
     t0, dt, count = grid
     t = t0 + dt * np.arange(count)
-    vals = sample_at(phi, t - n) * np.exp(-1j * n * (t - n) * angle.cot_alpha)
+    # samples on the left: NumPy's complex a*b and b*a can differ in the last bit
+    vals = resample(phi, (t0 - n, dt, count)).values * np.exp(
+        -1j * n * (t - n) * angle.cot_alpha)
     return SampledSignal(t0, dt, vals)
 
 
@@ -312,8 +314,9 @@ def translate_expansion(f: SampledSignal, phi: SampledSignal,
     atoms = [translate_atom(phi, angle, n, grid) for n in range(-N, N + 1)]
     duals = [translate_atom(phi_dual, angle, n, grid) for n in range(-N, N + 1)]
     a = np.array([f.inner(d) for d in duals])
-    c = translate_atom(phi, angle, 0, _gram_grid(phi, phi_dual, 0)).inner(
-        translate_atom(phi_dual, angle, 0, _gram_grid(phi, phi_dual, 0)))
+    grid0 = _gram_grid(phi, phi_dual, 0)
+    c = translate_atom(phi, angle, 0, grid0).inner(
+        translate_atom(phi_dual, angle, 0, grid0))
     recon = np.zeros(f.n, dtype=np.complex128)
     for coef, atom in zip(a, atoms):
         recon += (coef / c) * atom.values

@@ -156,3 +156,15 @@ def test_report_timings_flag_breaks_determinism_only_by_timings(tmp_path):
     assert "timings" in d1 and "timings" not in d2
     d1.pop("timings")
     assert d1 == d2
+
+
+def test_negative_alpha_as_separate_token(tmp_path):
+    # argparse alone takes `-pi/3` after --alpha for an option and exits 2
+    out = tmp_path / "rep"
+    assert main(["report", "haar", "--alpha", "-pi/3", "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["config"]["alpha"] == pytest.approx(-math.pi / 3)
+    src = write_gaussian(tmp_path, sigma=1.0)
+    spec = tmp_path / "spec.csv"
+    assert main(["frft", str(src), "-o", str(spec), "--alpha", "-1e-1"]) == 0
+    assert json.loads(spec.with_suffix(".json").read_text())["alpha"] == -0.1

@@ -6,10 +6,12 @@ import pytest
 from frwave import (
     Angle,
     DegenerateAngle,
+    FrFTPlan,
     InputError,
     SampledSignal,
     SpectrumSamples,
     as_angle,
+    frft,
     read_signal_csv,
     read_spectrum_csv,
     resample,
@@ -17,6 +19,7 @@ from frwave import (
     write_signal_csv,
     write_spectrum_csv,
 )
+from frwave import grids
 from frwave.grids import IDENTITY, REFLECTION, REGULAR, reflected, trap_weights
 
 from conftest import gaussian_signal
@@ -87,6 +90,58 @@ def test_reflected_and_resample():
     assert np.allclose(r.values, np.exp(-(t + 1.0) ** 2 / 2.0), atol=1e-12)
     back = resample(r, (g.t0, g.dt, g.n))
     assert back.values.shape == g.values.shape
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# source: a modulated Gaussian with noise on (-3, 1/8, 49), so it is neither
+# smooth nor band-limited and the sinc sum leaks well outside [-3, 3]
+RESAMPLE_GRIDS = {
+    "ratio 1/2": (-5.0, 0.0625, 300),
+    "ratio 2": (-5.0, 0.25, 60),
+    "ratio 2/3": (-5.0, 0.125 * 2.0 / 3.0, 300),
+    "ratio 1, half-step offset": (-5.0625, 0.125, 120),
+    "ratio 3/2, off-grid start": (-5.01, 0.1875, 90),
+    "past both ends": (-40.0, 0.125 * 2.0 / 3.0, 1400),
+    "irrational ratio": (-5.0, 0.125 / math.sqrt(2.0), 3000),
+    "two points": (-0.3, 0.0625, 2),
+}
+# cases where a pointwise sum is cheaper or the only exact evaluation
+FALLBACK = {"irrational ratio", "two points"}
+
+
+@pytest.mark.parametrize("name", list(RESAMPLE_GRIDS))
+def test_resample_matches_sample_at(name, monkeypatch):
+    rng = np.random.default_rng(11)
+    t = np.linspace(-3.0, 3.0, 49)
+    src = SampledSignal(-3.0, 0.125, np.exp(1j * t - t * t)
+                        * (1.0 + 0.3 * rng.standard_normal(49)))
+    t0, dt, n = grid = RESAMPLE_GRIDS[name]
+    want = sample_at(src, t0 + dt * np.arange(n))
+
+    calls = []
+    monkeypatch.setattr(grids, "sample_at",
+                        lambda *a: calls.append(a) or sample_at(*a))
+    got = resample(src, grid)
+    assert (got.t0, got.dt, got.n) == grid
+    assert rel_err(got.values, want) < 1e-12
+    assert len(calls) == (name in FALLBACK)
+    if name == "past both ends":
+        # out-of-range hits read 0, off-grid points far out still leak
+        hits = np.arange(0, n, 3)
+        outside = np.abs(t0 + dt * hits) > 3.5
+        assert np.all(got.values[hits[outside]] == 0.0)
+        assert np.all(np.abs(got.values[hits[outside] + 1]) > 0.0)
+
+
+def test_identity_frft_onto_offset_grid_matches_sample_at():
+    g = gaussian_signal((-8.0, 2.0 ** -5, 513), center=0.5, carrier=2.0)
+    grid = (-8.0 + 2.0 ** -6, 2.0 ** -5, 513)
+    spec = frft(g, FrFTPlan(as_angle(0.0), (g.t0, g.dt, g.n), grid))
+    want = sample_at(g, grid[0] + grid[1] * np.arange(grid[2]))
+    assert rel_err(spec.values, want) < 1e-12
 
 
 def test_signal_csv_roundtrip(tmp_path):

@@ -17,6 +17,7 @@ from frwave import (
     hat_signal,
     periodization_gram,
     riesz_bounds,
+    sample_at,
     sequence_spectrum_eval,
     translate_atom,
     translate_expansion,
@@ -132,3 +133,44 @@ def test_biortho_profile_tail_reported():
     phi, _ = haar_system(math.pi / 2)
     prof = biortho_profile(phi, phi, math.pi / 2)
     assert 0.0 < prof.tail < 5e-2 * abs(prof.mean())
+
+
+@pytest.fixture(scope="module")
+def mixed_step_pair():
+    """Chirped hat on 2^-7 and the dual of its 2^-6 copy at pi/3, with the
+    Gram grid of translate_gram(n_gram=4)."""
+    angle = as_angle(math.pi / 3)
+    phi = chirped_hat(angle, dt=2.0 ** -7, margin=1.0)
+    dual = dual_scaling(chirped_hat(angle, dt=2.0 ** -6, margin=1.0), angle)
+    lo = min(phi.t0, dual.t0) - 5.0
+    hi = max(phi.t_end, dual.t_end) + 5.0
+    grid = (lo, phi.dt, int(math.ceil((hi - lo) / phi.dt)) + 1)
+    return angle, phi, dual, grid
+
+
+def test_translate_gram_mixed_steps_matches_pointwise_oracle(mixed_step_pair):
+    angle, phi, dual, grid = mixed_step_pair
+    t0, dt, count = grid
+    t = t0 + dt * np.arange(count)
+
+    def atoms(g):
+        return np.stack([sample_at(g, t - n) * np.exp(-1j * n * (t - n) * angle.cot_alpha)
+                         for n in range(-4, 5)])
+
+    w = np.full(count, dt)
+    w[[0, -1]] *= 0.5
+    want = (atoms(phi) * w) @ np.conj(atoms(dual).T)
+    got = translate_gram(phi, dual, angle, n_gram=4, grid=grid)
+    assert max_abs(got, want) < 1e-12 * max_abs(want)
+
+
+def test_translate_gram_chirp_toeplitz_identity(mixed_step_pair):
+    # G[n, m] exp(-i cot n (n - m)) depends on n - m only
+    angle, phi, dual, grid = mixed_step_pair
+    g = translate_gram(phi, dual, angle, n_gram=4, grid=grid)
+    n = np.arange(-4, 5)[:, None]
+    m = np.arange(-4, 5)[None, :]
+    toeplitz = g * np.exp(-1j * angle.cot_alpha * n * (n - m))
+    for d in range(-8, 9):
+        diag = np.diagonal(toeplitz, -d)
+        assert max_abs(diag, diag[0]) < 1e-12 * max_abs(g)
