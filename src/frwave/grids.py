@@ -27,8 +27,9 @@ REFLECTION = "ReflectionDegenerate"
 
 # grid points within this fraction of a step of a sample are treated as hits
 HIT_TOL = 1e-8
-# largest step-ratio denominator resample evaluates by polyphase convolution
-RESAMPLE_MAX_DEN = 64
+# largest numerator and denominator of a step ratio resample evaluates by
+# polyphase convolution
+RESAMPLE_MAX_TERM = 64
 
 
 @dataclass(frozen=True)
@@ -203,12 +204,13 @@ def sample_at(signal: SampledSignal, points: np.ndarray,
 def resample(signal: SampledSignal, grid: tuple[float, float, int]) -> SampledSignal:
     """The signal on the uniform grid (t0, dt, n), with sample_at's values.
 
-    When the step ratio is a small rational p/q the grid splits into q
-    residue classes that each read the source at a fixed offset plus a
-    stride of p samples: hit classes read samples directly, the others are
-    one FFT convolution of the samples with a sinc kernel. This is the same
-    full sinc sum sample_at evaluates point by point, leakage outside the
-    source grid included. Other ratios go through sample_at.
+    When the step ratio is a small rational p/q (p, q <= RESAMPLE_MAX_TERM)
+    the grid splits into q residue classes that each read the source at a
+    fixed offset plus a stride of p samples: hit classes read samples
+    directly, the others are one FFT convolution of the samples with a sinc
+    kernel. This is the same full sinc sum sample_at evaluates point by
+    point, leakage outside the source grid included. Other ratios go
+    through sample_at.
     """
     t0, dt, n = grid
     vals = _resample_polyphase(signal, t0, dt, n)
@@ -223,15 +225,14 @@ def _resample_polyphase(signal: SampledSignal, t0: float, dt: float,
     if count < 1 or not (math.isfinite(t0) and 0.0 < dt < math.inf):
         return None
     r = dt / signal.dt
-    ratio = Fraction(r).limit_denominator(RESAMPLE_MAX_DEN)
+    ratio = Fraction(r).limit_denominator(RESAMPLE_MAX_TERM)
     p, q = ratio.numerator, ratio.denominator
     n = signal.n
     # the classes' source positions drift from the grid's by at most count
     # times the ratio's rounding, which must stay at sample_at's own rounding
-    # level; and the convolutions (kernel ~ n + count*r long) must cost less
-    # than sample_at's count*n sinc terms
-    if (p == 0 or abs(r - p / q) > 4.0 * np.finfo(float).eps * r
-            or q * (2 * n + count * r) > count * n):
+    # level; a bounded p keeps each kernel (n + p*count/q long) near the
+    # size of the source plus the target
+    if not 0 < p <= RESAMPLE_MAX_TERM or abs(r - p / q) > 4.0 * np.finfo(float).eps * r:
         return None
     v = signal.values
     out = np.zeros(count, dtype=np.complex128)

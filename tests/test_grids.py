@@ -106,10 +106,11 @@ RESAMPLE_GRIDS = {
     "ratio 3/2, off-grid start": (-5.01, 0.1875, 90),
     "past both ends": (-40.0, 0.125 * 2.0 / 3.0, 1400),
     "irrational ratio": (-5.0, 0.125 / math.sqrt(2.0), 3000),
+    "ratio 100": (-0.51, 12.5, 3),
     "two points": (-0.3, 0.0625, 2),
 }
-# cases where a pointwise sum is cheaper or the only exact evaluation
-FALLBACK = {"irrational ratio", "two points"}
+# ratios that are not a small rational p/q (p, q <= RESAMPLE_MAX_TERM)
+FALLBACK = {"irrational ratio", "ratio 100"}
 
 
 @pytest.mark.parametrize("name", list(RESAMPLE_GRIDS))
