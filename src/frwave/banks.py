@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .frft import spectrum_on_grid
 from .grids import Angle, SampledSignal, as_angle
 from .mra import ScalingFilter
 
@@ -81,10 +82,11 @@ def spectral_scaling(taps: np.ndarray, offset: int, alpha,
     """Band-limited scaling-function samples from the classical tap symbol.
 
     Evaluates the truncated infinite product prod_j m0(w / 2^j) for |w| <=
-    w_max, inverts by quadrature, and chirps the result onto the angle. For
-    generators whose samples converge poorly under the cascade (rough duals),
-    this gives samples of the band-limited projection, which reproduce every
-    inner product against signals band-limited below w_max exactly.
+    w_max, inverts it by the trapezoid rule (the transform at -pi/2), and
+    chirps the result onto the angle. For generators whose samples converge
+    poorly under the cascade (rough duals), this gives samples of the
+    band-limited projection, which reproduce every inner product against
+    signals band-limited below w_max exactly.
     """
     angle = as_angle(alpha).require_regular()
     t0, dt, count = grid
@@ -97,13 +99,8 @@ def spectral_scaling(taps: np.ndarray, offset: int, alpha,
     hat = np.ones(m, dtype=np.complex128)
     for j in range(1, levels + 1):
         hat *= np.exp(-1j * np.outer(w / 2.0 ** j, n)) @ coef
-    t = t0 + dt * np.arange(count)
-    vals = np.empty(count, dtype=np.complex128)
-    chunk = 1024
-    for lo in range(0, count, chunk):
-        sl = slice(lo, min(lo + chunk, count))
-        vals[sl] = np.exp(1j * np.outer(t[sl], w)) @ hat * (dw / (2.0 * math.pi))
-    classical = SampledSignal(t0, dt, vals)
+    vals = spectrum_on_grid(SampledSignal(w[0], dw, hat), -math.pi / 2.0, t0, dt, count)
+    classical = SampledSignal(t0, dt, vals / math.sqrt(2.0 * math.pi))
     return fractional_scaling(classical, angle)
 
 

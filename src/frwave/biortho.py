@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyBattery, InputError
+from .frft import spectrum_on_grid
 from .grids import Angle, SampledSignal, as_angle, trap_weights
 from .mra import (
     MRALevel,
@@ -32,7 +33,7 @@ from .mra import (
     two_scale_apply,
 )
 from .report import AnalysisReport
-from .riesz import check_biorthogonal, spectrum_on_grid, translate_gram
+from .riesz import check_biorthogonal, translate_gram
 
 CONSTRUCTED = "Constructed"
 LOADED = "Loaded"

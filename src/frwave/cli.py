@@ -52,23 +52,22 @@ def _write_json(path: Path, text: str) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
+    doc = {}
+    if args.config:
         import json
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             raise InputError(f"bad config file {args.config}: {exc}") from exc
-        cfg = RunConfig.from_dict(doc)
-    else:
-        cfg = RunConfig(alpha=parse_angle(args.alpha))
-    if getattr(args, "alpha", None) and args.config:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "alpha": parse_angle(args.alpha),
-                                   "grid": cfg.to_dict()["grid"]})
-    if getattr(args, "seed", None) is not None:
-        d = cfg.to_dict()
-        d["seed"] = args.seed
-        cfg = RunConfig.from_dict(d)
-    for spec in getattr(args, "tol", []) or []:
+        if not isinstance(doc, dict):
+            raise InputError(f"bad config file {args.config}: not a JSON object")
+    if args.alpha is not None:
+        doc["alpha"] = parse_angle(args.alpha)
+    doc.setdefault("alpha", math.pi / 2.0)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    cfg = RunConfig.from_dict(doc)
+    for spec in args.tol or []:
         name, _, val = spec.partition("=")
         if not val:
             raise InputError(f"--tol expects name=value, got {spec!r}")
@@ -175,7 +174,7 @@ def _load_or_builtin_bank(spec: str, alpha: float) -> biortho.WaveletFilterBank:
     return biortho.load_bank(spec)
 
 
-def _scaling_pair_for_bank(bank_spec: str, bank, cfg: RunConfig):
+def _scaling_pair_for_bank(bank_spec: str, bank):
     """Generators for the bank: exact samplers where known, spectral otherwise."""
     alpha = bank.alpha
     if bank_spec == "haar":
@@ -194,14 +193,14 @@ def _scaling_pair_for_bank(bank_spec: str, bank, cfg: RunConfig):
 def cmd_wavelet_build(args) -> int:
     cfg = _config_from_args(args)
     bank = _load_or_builtin_bank(args.bank, cfg.alpha)
-    phi, phi_dual = _scaling_pair_for_bank(args.bank, bank, cfg)
+    phi, phi_dual = _scaling_pair_for_bank(args.bank, bank)
     pair = biortho.wavelet_synthesize(bank, phi, phi_dual)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_signal_csv(out / "psi.csv", pair.psi)
     write_signal_csv(out / "psi_dual.csv", pair.psi_dual)
-    rep = _pipeline_report("wavelet-build", cfg, args.bank, bank, phi, phi_dual,
-                           pair, out, curves=False)
+    rep = _pipeline_report("wavelet-build", cfg, bank, phi, phi_dual, pair, out,
+                           curves=False)
     _write_json(out / "report.json", rep.to_json())
     return 0 if rep.overall_pass else 1
 
@@ -209,7 +208,7 @@ def cmd_wavelet_build(args) -> int:
 def cmd_frame_bounds(args) -> int:
     cfg = _config_from_args(args)
     bank = _load_or_builtin_bank(args.bank, cfg.alpha)
-    phi, phi_dual = _scaling_pair_for_bank(args.bank, bank, cfg)
+    phi, phi_dual = _scaling_pair_for_bank(args.bank, bank)
     pair = biortho.wavelet_synthesize(bank, phi, phi_dual)
     grid = (-4.0, 2.0 ** -7, 1024)
     batt = wavelets.battery(cfg.seed, cfg.battery_size, grid, alpha=cfg.alpha,
@@ -221,7 +220,7 @@ def cmd_frame_bounds(args) -> int:
     return 0 if bounds.duality_ok() and bounds.A > 0 else 1
 
 
-def _pipeline_report(command: str, cfg: RunConfig, bank_spec: str, bank,
+def _pipeline_report(command: str, cfg: RunConfig, bank,
                      phi, phi_dual, pair, out_dir: Path,
                      curves: bool = True) -> AnalysisReport:
     rep = AnalysisReport(command, cfg)
@@ -291,12 +290,11 @@ def _pipeline_report(command: str, cfg: RunConfig, bank_spec: str, bank,
 def cmd_report(args) -> int:
     cfg = _config_from_args(args)
     bank = _load_or_builtin_bank(args.bank, cfg.alpha)
-    phi, phi_dual = _scaling_pair_for_bank(args.bank, bank, cfg)
+    phi, phi_dual = _scaling_pair_for_bank(args.bank, bank)
     pair = biortho.wavelet_synthesize(bank, phi, phi_dual)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rep = _pipeline_report("report", cfg, args.bank, bank, phi, phi_dual,
-                           pair, out)
+    rep = _pipeline_report("report", cfg, bank, phi, phi_dual, pair, out)
     _write_json(out / "report.json", rep.to_json(include_timings=args.timings))
     return 0 if rep.overall_pass else 1
 
@@ -305,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="frwave", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_alpha=True):
-        p.add_argument("--alpha", default="pi/2" if needs_alpha else None,
-                       help="angle: pi/2, 2pi/3, or radians")
+    def common(p):
+        p.add_argument("--alpha", help="angle: pi/2, 2pi/3, or radians; overrides "
+                       "--config (default: the config's angle, else pi/2)")
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", action="append", metavar="NAME=VAL")

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
-from .errors import DegenerateAngle, GridMismatch
 from .grids import (
     IDENTITY,
     REFLECTION,
@@ -76,16 +76,6 @@ class FrFTPlan:
                 output_grid = in_grid
         return cls(angle, in_grid, output_grid, method)
 
-    def _check_chirp_compatible(self) -> None:
-        t0, dt, n = self.input_grid
-        u0, du, m = self.output_grid
-        if m != n:
-            raise GridMismatch("chirp factorization needs equal grid counts")
-        s = abs(dt * du * self.angle.csc_alpha) * n / (2.0 * math.pi)
-        if abs(s - 1.0) > 1e-9:
-            raise GridMismatch(
-                f"du must equal 2*pi*|sin(alpha)|/(n*dt); scale off by {s - 1.0:.3e}")
-
 
 def frft(f: SampledSignal, plan: FrFTPlan) -> SpectrumSamples:
     """Forward fractional Fourier transform of sampled f under a plan."""
@@ -99,26 +89,52 @@ def frft(f: SampledSignal, plan: FrFTPlan) -> SpectrumSamples:
         return SpectrumSamples(u0, du, g.values, angle)
 
     if plan.method == DIRECT:
-        u = u0 + du * np.arange(m)
-        vals = frft_eval(f, angle, u)
-        return SpectrumSamples(u0, du, vals, angle)
-
-    plan._check_chirp_compatible()
-    t0, dt, n = plan.input_grid
-    cot, csc = angle.cot_alpha, angle.csc_alpha
-    t = f.grid
-    u = u0 + du * np.arange(m)
-    w = trap_weights(n, dt)
-    # K(t,u) factors as chirp(u) * exp(-i t u csc) * chirp(t); the middle
-    # factor on compatible grids is an FFT (sign of csc picks the direction)
-    a = f.values * w * np.exp(1j * (cot / 2.0) * t * t - 1j * csc * u0 * (t - t0))
-    if dt * du * csc > 0:
-        spec = np.fft.fft(a)
+        vals = frft_eval(f, angle, u0 + du * np.arange(m))
     else:
-        spec = np.fft.ifft(a) * n
-    c = kernel_constant(angle)
-    vals = c * np.exp(1j * (cot / 2.0) * u * u - 1j * csc * t0 * u) * spec
+        vals = spectrum_on_grid(f, angle, u0, du, m)
     return SpectrumSamples(u0, du, vals, angle)
+
+
+def spectrum_on_grid(f: SampledSignal, alpha, u0: float, du: float,
+                     m: int) -> np.ndarray:
+    """Transform values on the uniform grid u0 + k*du, k < m, by chirp-z.
+
+    Same trapezoid sum as frft_eval, in O((n+m) log(n+m)). K(t, u) factors
+    as chirp(u) * exp(-i t u csc) * chirp(t); on t = t0 + j*dt the middle
+    factor is exp(-i theta j k) up to phases in j and k alone, with the real
+    step theta = csc*du*dt. That sum is one FFT when the grid is the natural
+    one (m == n, |theta| n = 2 pi) and a Bluestein convolution otherwise.
+    """
+    angle = as_angle(alpha).require_regular()
+    cot, csc = angle.cot_alpha, angle.csc_alpha
+    j = np.arange(f.n)
+    t = f.t0 + f.dt * j
+    u = u0 + du * np.arange(m)
+    x = f.values * trap_weights(f.n, f.dt) * np.exp(
+        1j * ((cot / 2.0) * t * t - csc * u0 * f.dt * j))
+    spec = _chirp_sum(x, csc * du * f.dt, m)
+    return kernel_constant(angle) * np.exp(
+        1j * ((cot / 2.0) * u * u - csc * f.t0 * u)) * spec
+
+
+def _chirp_sum(x: np.ndarray, theta: float, m: int) -> np.ndarray:
+    """sum_j x[j] exp(-i theta j k) for k < m."""
+    n = x.size
+    # the FFT takes theta = +-2 pi/n, which puts the phase of each term off
+    # by at most 2 pi n |s - 1| radians
+    s = abs(theta) * n / (2.0 * math.pi)
+    if m == n and n * abs(s - 1.0) <= 1e-9:
+        return np.fft.fft(x) if theta > 0 else np.fft.ifft(x) * n
+    # Bluestein: jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into a convolution
+    # with exp(i theta l^2/2), l = -(n-1)..m-1, stored circularly
+    size = next_fast_len(n + m - 1)
+    k = np.arange(max(n, m), dtype=np.float64)
+    chirp = np.exp(-0.5j * theta * k * k)
+    kern = np.zeros(size, dtype=np.complex128)
+    kern[:m] = np.conj(chirp[:m])
+    kern[size - n + 1:] = np.conj(chirp[1:n])[::-1]
+    conv = np.fft.ifft(np.fft.fft(x * chirp[:n], size) * np.fft.fft(kern))
+    return conv[:m] * chirp[:m]
 
 
 def frft_eval(f: SampledSignal, alpha, u_points: np.ndarray) -> np.ndarray:

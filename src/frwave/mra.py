@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyBattery, NonConvergent, SupportTooSmall
-from .grids import Angle, SampledSignal, as_angle, sample_at, trap_weights
-from .riesz import spectrum_on_grid
+from .frft import spectrum_on_grid
+from .grids import Angle, SampledSignal, as_angle, sample_at
 
 TAU_TAP = 1e-6
 
@@ -120,7 +120,7 @@ def two_scale_apply(phi: SampledSignal, h: ScalingFilter,
     return SampledSignal(grid[0], grid[1], acc)
 
 
-def two_scale_defect(phi: SampledSignal, h: ScalingFilter, alpha=None) -> float:
+def two_scale_defect(phi: SampledSignal, h: ScalingFilter) -> float:
     """max_t |phi(t) - sum_n h[n] A[1,n] phi(t)| on phi's own grid."""
     recon = two_scale_apply(phi, h, (phi.t0, phi.dt, phi.n))
     return float(np.max(np.abs(phi.values - recon.values)))

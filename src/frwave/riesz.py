@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import NotRealProfile, RieszLowerBoundZero, TailTooFat
-from .frft import kernel_constant
+from .frft import spectrum_on_grid
 from .grids import (
     Angle,
     SampledSignal,
@@ -131,24 +130,6 @@ def translate_atom(phi: SampledSignal, alpha, n: int,
     vals = resample(phi, (t0 - n, dt, count)).values * np.exp(
         -1j * n * (t - n) * angle.cot_alpha)
     return SampledSignal(t0, dt, vals)
-
-
-def spectrum_on_grid(f: SampledSignal, alpha, u0: float, du: float,
-                     m: int) -> np.ndarray:
-    """Transform values on a uniform u-grid via the chirp-z factorization.
-
-    Same quadrature as frft_eval, evaluated in O((n+m) log) instead of O(n m).
-    """
-    angle = as_angle(alpha).require_regular()
-    cot, csc = angle.cot_alpha, angle.csc_alpha
-    t = f.grid
-    x = (f.values * trap_weights(f.n, f.dt) * np.exp(1j * (cot / 2.0) * t * t)
-         * np.exp(-1j * csc * u0 * (f.dt * np.arange(f.n))))
-    w = np.exp(-1j * csc * du * f.dt)
-    spec = czt(x, m=m, w=w, a=1.0 + 0.0j)
-    u = u0 + du * np.arange(m)
-    return kernel_constant(angle) * np.exp(
-        1j * (cot / 2.0) * u * u - 1j * csc * u * f.t0) * spec
 
 
 def _stacked_spectrum(phi: SampledSignal, angle: Angle, grid_count: int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBattery, GridCoverage
-from .frft import frft_eval
+from .frft import spectrum_on_grid
 from .grids import Angle, SampledSignal, as_angle, sample_at, trap_weights
 
 COVERAGE_TOL = 1e-3   # fraction of atom mass allowed to fall off-grid
@@ -91,7 +91,7 @@ def make_mother(name: str, grid: tuple[float, float, int] | None = None) -> Moth
     elif name == "haar":
         vals = _haar_values(t)
     elif name == "meyer":
-        vals = _meyer_values(t)
+        vals = _meyer_values(grid)
     else:
         raise ValueError(f"unknown mother wavelet {name!r}")
     mother = MotherWavelet(SampledSignal(t0, dt, vals), name)
@@ -116,24 +116,21 @@ def _meyer_nu(x: np.ndarray) -> np.ndarray:
     return x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3)
 
 
-def _meyer_values(t: np.ndarray, n_omega: int = 8192) -> np.ndarray:
-    # inverse unitary Fourier integral of the standard Meyer spectrum
+def _meyer_values(grid: tuple[float, float, int], n_omega: int = 8192) -> np.ndarray:
+    # inverse unitary Fourier integral of the standard Meyer spectrum: the
+    # transform at -pi/2; the spectrum vanishes at the ends, so the trapezoid
+    # sum equals the rectangle sum
     w_max = 8.0 * math.pi / 3.0
-    w = np.linspace(-w_max, w_max, n_omega)
+    dw = 2.0 * w_max / (n_omega - 1)
+    w = -w_max + dw * np.arange(n_omega)
     aw = np.abs(w)
     hat = np.zeros(w.size)
     band1 = (aw >= 2.0 * math.pi / 3.0) & (aw <= 4.0 * math.pi / 3.0)
     band2 = (aw > 4.0 * math.pi / 3.0) & (aw <= 8.0 * math.pi / 3.0)
     hat[band1] = np.sin(0.5 * math.pi * _meyer_nu(3.0 * aw[band1] / (2.0 * math.pi) - 1.0))
     hat[band2] = np.cos(0.5 * math.pi * _meyer_nu(3.0 * aw[band2] / (4.0 * math.pi) - 1.0))
-    spec = hat * np.exp(1j * w / 2.0) / math.sqrt(2.0 * math.pi)
-    dw = w[1] - w[0]
-    out = np.empty(t.size, dtype=np.complex128)
-    chunk = 1024
-    for lo in range(0, t.size, chunk):
-        sl = slice(lo, min(lo + chunk, t.size))
-        out[sl] = np.exp(1j * np.outer(t[sl], w)) @ spec * (dw / math.sqrt(2.0 * math.pi))
-    return out
+    spec = SampledSignal(-w_max, dw, hat * np.exp(1j * w / 2.0) / math.sqrt(2.0 * math.pi))
+    return spectrum_on_grid(spec, -math.pi / 2.0, *grid)
 
 
 def _check_coverage(atom: SampledSignal, psi: MotherWavelet,
@@ -193,9 +190,9 @@ def _dechirped_spectrum(psi: MotherWavelet, alpha, u_max: float, n: int):
     t = sig.grid
     dechirped = SampledSignal(
         sig.t0, sig.dt, sig.values * np.exp(-1j * (angle.cot_alpha / 2.0) * t * t))
-    xi = np.linspace(-u_max, u_max, n)
-    vals = frft_eval(dechirped, angle, xi)
-    return xi, vals, xi[1] - xi[0]
+    du = 2.0 * u_max / (n - 1)
+    vals = spectrum_on_grid(dechirped, angle, -u_max, du, n)
+    return -u_max + du * np.arange(n), vals, du
 
 
 def frwt_continuous(f: SampledSignal, psi: MotherWavelet,

@@ -105,6 +105,21 @@ def test_biortho_check_cli(tmp_path):
     assert doc["constant"] == pytest.approx(1.0, abs=1e-2)
 
 
+def test_config_alpha_kept_unless_alpha_given(tmp_path):
+    from frwave import haar_system
+    phi, _ = haar_system(math.pi / 3)
+    src = tmp_path / "phi.csv"
+    write_signal_csv(src, phi)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": math.pi / 3}))
+    out = tmp_path / "bio.json"
+    args = ["biortho-check", str(src), str(src), "-o", str(out), "--config", str(cfg)]
+    assert main(args) == 0
+    assert json.loads(out.read_text())["config"]["alpha"] == math.pi / 3
+    assert main(args + ["--alpha", "-pi/3"]) in (0, 1)
+    assert json.loads(out.read_text())["config"]["alpha"] == -math.pi / 3
+
+
 def test_mra_filter_emits_loadable_bank(tmp_path):
     from frwave import haar_system
     phi, _ = haar_system(math.pi / 3, dt=2.0 ** -12)

@@ -8,9 +8,9 @@ from frwave import (
     CHIRP,
     DIRECT,
     FrFTPlan,
-    GridMismatch,
     SampledSignal,
     as_angle,
+    cdf53_system,
     chirp_modulate,
     frft,
     frft_eval,
@@ -108,11 +108,13 @@ def test_identity_and_reflection_branches():
     assert max_abs(refl.values, h.values[::-1]) < 1e-12
 
 
-def test_chirp_plan_rejects_bad_output_grid():
+def test_chirp_plan_on_any_output_grid_matches_direct():
+    # an output grid off the natural one takes the Bluestein path
     g = gaussian_signal(GRID, sigma=1.0)
-    bad = FrFTPlan(as_angle(math.pi / 3), GRID, (-10.0, 0.01, 1024), CHIRP)
-    with pytest.raises(GridMismatch):
-        frft(g, bad)
+    out = (-10.0, 0.01, 1024)
+    fc = frft(g, FrFTPlan(as_angle(math.pi / 3), GRID, out, CHIRP))
+    fd = frft(g, FrFTPlan(as_angle(math.pi / 3), GRID, out, DIRECT))
+    assert max_abs(fc.values, fd.values) < 1e-10
 
 
 def test_chirp_modulate_inverse_pair():
@@ -128,3 +130,18 @@ def test_spectrum_on_grid_matches_direct_eval():
     fast = spectrum_on_grid(g, angle, u0, du, m)
     slow = frft_eval(g, angle, u0 + du * np.arange(m))
     assert max_abs(fast, slow) < 1e-10
+
+
+def test_spectrum_on_grid_matches_direct_eval_on_a_riesz_stack():
+    # the stacked spectrum riesz builds for cdf53 at pi/3 (grid_count 256,
+    # kmax 64): a long grid whose chirp phase reaches ~1e4 radians
+    phi, _, _ = cdf53_system(math.pi / 3)
+    angle = as_angle(math.pi / 3)
+    grid_count, kmax = 256, 64
+    period = abs(angle.period)
+    du, m = period / grid_count, (2 * kmax + 1) * grid_count
+    u0 = -kmax * period
+    fast = spectrum_on_grid(phi, angle, u0, du, m)
+    k = np.r_[0:64, 5000:5064, m // 2 - 32:m // 2 + 32, m - 64:m]
+    slow = frft_eval(phi, angle, u0 + du * k)
+    assert np.max(np.abs(fast[k] - slow)) < 1e-10 * np.max(np.abs(fast))

@@ -38,6 +38,25 @@ def test_mother_norms():
     assert make_mother("meyer").signal.norm_sq() == pytest.approx(1.0, rel=1e-6)
 
 
+def _meyer_nu(x):
+    x = np.clip(x, 0.0, 1.0)
+    return x ** 4 * (35.0 - 84.0 * x + 70.0 * x ** 2 - 20.0 * x ** 3)
+
+
+def test_meyer_matches_dense_inverse_integral():
+    psi = make_mother("meyer").signal
+    t = psi.grid[::64]
+    w = np.linspace(-8.0 * math.pi / 3.0, 8.0 * math.pi / 3.0, 8192)
+    aw = np.abs(w)
+    hat = np.where(aw <= 4.0 * math.pi / 3.0,
+                   np.sin(0.5 * math.pi * _meyer_nu(3.0 * aw / (2.0 * math.pi) - 1.0)),
+                   np.cos(0.5 * math.pi * _meyer_nu(3.0 * aw / (4.0 * math.pi) - 1.0)))
+    # rectangle sum of the unitary inverse Fourier integral
+    dense = (np.exp(1j * np.outer(t, w)) @ (hat * np.exp(0.5j * w))
+             * (w[1] - w[0]) / (2.0 * math.pi))
+    assert max_abs(psi.values[::64], dense) < 1e-10 * np.max(np.abs(dense))
+
+
 def test_meyer_has_zero_mean():
     m = make_mother("meyer").signal
     mean = np.sum(m.values * trap_weights(m.n, m.dt))
@@ -133,6 +152,19 @@ def test_admissibility_mexican_stable_under_refinement():
     # spectrum vanishes quadratically at the origin: the constant converges
     assert vals[2] - vals[1] < 0.05 * vals[1]
     assert admissibility_constant(psi, math.pi / 3) > 0.0
+
+
+def test_admissibility_matches_dense_reference():
+    psi = make_mother("haar", (-2.0, 2.0 ** -8, 5 * 256))
+    angle = as_angle(math.pi / 3)
+    t = psi.signal.grid
+    dechirped = SampledSignal(psi.signal.t0, psi.signal.dt, psi.signal.values
+                              * np.exp(-0.5j * angle.cot_alpha * t * t))
+    xi = np.linspace(-32.0, 32.0, 8192)
+    vals = frft_eval(dechirped, angle, xi)
+    keep = np.abs(xi) >= xi[1] - xi[0]
+    ref = np.trapezoid(np.abs(vals[keep]) ** 2 / np.abs(xi[keep]), xi[keep])
+    assert admissibility_constant(psi, angle, n=8192) == pytest.approx(ref, rel=1e-10)
 
 
 def test_admissibility_flags_nonvanishing_origin():
