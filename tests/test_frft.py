@@ -109,12 +109,15 @@ def test_identity_and_reflection_branches():
 
 
 def test_chirp_plan_on_any_output_grid_matches_direct():
-    # an output grid off the natural one takes the Bluestein path
+    # output grids off the natural one take the Bluestein path, a step
+    # 1e-10 off the natural one included (a plain FFT there errs by ~1e-7)
     g = gaussian_signal(GRID, sigma=1.0)
-    out = (-10.0, 0.01, 1024)
-    fc = frft(g, FrFTPlan(as_angle(math.pi / 3), GRID, out, CHIRP))
-    fd = frft(g, FrFTPlan(as_angle(math.pi / 3), GRID, out, DIRECT))
-    assert max_abs(fc.values, fd.values) < 1e-10
+    angle = as_angle(math.pi / 3)
+    du = 2.0 * math.pi * angle.sin_alpha / (GRID[2] * GRID[1]) * (1.0 + 1e-10)
+    for out in ((-10.0, 0.01, 1024), (-512 * du, du, 1024)):
+        fc = frft(g, FrFTPlan(angle, GRID, out, CHIRP))
+        fd = frft(g, FrFTPlan(angle, GRID, out, DIRECT))
+        assert max_abs(fc.values, fd.values) < 1e-10
 
 
 def test_chirp_modulate_inverse_pair():
