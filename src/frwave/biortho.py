@@ -14,6 +14,7 @@ modulation matrices M = [[Lambda(u), Lambda(u+pi sin a)],
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,12 +24,12 @@ import numpy as np
 
 from .errors import EmptyBattery, InputError
 from .frft import spectrum_on_grid
-from .grids import Angle, SampledSignal, as_angle, trap_weights
+from .grids import Angle, SampledSignal, as_angle
 from .mra import (
     MRALevel,
     ScalingFilter,
     auxiliary_function,
-    level_atom,
+    level_atoms,
     project,
     two_scale_apply,
 )
@@ -187,12 +188,6 @@ def level_split_defect(f: SampledSignal, pair: BiorthoWaveletPair,
     return float(p1.minus(p0).minus(w0).norm())
 
 
-def _atom_matrix(psi: SampledSignal, alpha: Angle,
-                 grid: tuple[float, float, int], jk_list) -> np.ndarray:
-    rows = [level_atom(psi, alpha, j, k, grid).values for j, k in jk_list]
-    return np.stack(rows)
-
-
 def expand_reconstruct(f: SampledSignal, pair: BiorthoWaveletPair,
                        j_range: tuple[int, int], k_range: tuple[int, int],
                        swap: bool = False) -> tuple[dict, float]:
@@ -202,16 +197,15 @@ def expand_reconstruct(f: SampledSignal, pair: BiorthoWaveletPair,
     """
     alpha = pair.alpha
     ana, syn = (pair.psi, pair.psi_dual) if swap else (pair.psi_dual, pair.psi)
-    grid = (f.t0, f.dt, f.n)
-    jk = [(j, k) for j in range(j_range[0], j_range[1] + 1)
-          for k in range(k_range[0], k_range[1] + 1)]
-    A = _atom_matrix(ana, alpha, grid, jk)
-    S = _atom_matrix(syn, alpha, grid, jk)
-    w = trap_weights(f.n, f.dt)
-    coefs = (np.conj(A) * w) @ f.values
-    recon = coefs @ S
+    ks = range(k_range[0], k_range[1] + 1)
+    table = {}
+    recon = np.zeros(f.n, dtype=np.complex128)
+    for j in range(j_range[0], j_range[1] + 1):
+        span = (j, k_range[0], k_range[1], (f.t0, f.dt, f.n))
+        coefs = level_atoms(ana, alpha, *span).analyze(f.values)
+        recon += level_atoms(syn, alpha, *span).synthesize(coefs)
+        table.update(zip(itertools.product([j], ks), coefs.tolist()))
     residual = SampledSignal(f.t0, f.dt, f.values - recon).norm()
-    table = {jk[i]: complex(coefs[i]) for i in range(len(jk))}
     return table, residual
 
 
@@ -265,22 +259,17 @@ def riesz_frame_bounds(pair: BiorthoWaveletPair, battery,
         raise EmptyBattery("frame bounds need a nonempty battery")
     f0 = battery[0]
     grid = (f0.t0, f0.dt, f0.n)
-    alpha = pair.alpha
-    jk = [(j, k) for j in range(j_range[0], j_range[1] + 1)
-          for k in range(k_range[0], k_range[1] + 1)]
-    w = trap_weights(f0.n, f0.dt)
-    A_p = np.conj(_atom_matrix(pair.psi, alpha, grid, jk)) * w
-    A_d = np.conj(_atom_matrix(pair.psi_dual, alpha, grid, jk)) * w
+    F = np.stack([f.values for f in battery])
+    norms = np.array([f.norm_sq() for f in battery])
 
-    def ratios(mat) -> list[float]:
-        out = []
-        for f in battery:
-            r = float(np.sum(np.abs(mat @ f.values) ** 2)) / f.norm_sq()
-            if r > 1e-6:
-                out.append(r)
-        return out
+    def ratios(psi) -> list[float]:
+        energy = np.zeros(len(battery))
+        for j in range(j_range[0], j_range[1] + 1):
+            coefs = level_atoms(psi, pair.alpha, j, *k_range, grid).analyze(F)
+            energy += np.sum(np.abs(coefs) ** 2, axis=1)
+        return [float(r) for r in energy / norms if r > 1e-6]
 
-    rp, rd = ratios(A_p), ratios(A_d)
+    rp, rd = ratios(pair.psi), ratios(pair.psi_dual)
     if not rp or not rd:
         raise EmptyBattery("every battery member was a truncation artifact")
     return RieszBoundsPair(min(rp), max(rp), min(rd), max(rd)), rp, rd
@@ -301,21 +290,17 @@ class RieszBoundsPair:
 def cross_level_orthogonality(pair: BiorthoWaveletPair, pairs_of_levels,
                               n_gram: int = 4) -> float:
     """max |<psi_(j,k), psi_dual_(j',k')>| over level pairs with j != j'."""
-    alpha = pair.alpha
     lo = min(pair.psi.t0, pair.psi_dual.t0) - (n_gram + 1) * 2.0
     hi = max(pair.psi.t_end, pair.psi_dual.t_end) + (n_gram + 1) * 2.0
     dt = min(pair.psi.dt, pair.psi_dual.dt)
     grid = (lo, dt, int(math.ceil((hi - lo) / dt)) + 1)
-    w = trap_weights(grid[2], dt)
     worst = 0.0
     for j, jp in pairs_of_levels:
         if j == jp:
             raise ValueError("cross-level check requires j != j'")
-        jk = [(j, k) for k in range(-n_gram, n_gram + 1)]
-        jpk = [(jp, k) for k in range(-n_gram, n_gram + 1)]
-        P = _atom_matrix(pair.psi, alpha, grid, jk)
-        D = _atom_matrix(pair.psi_dual, alpha, grid, jpk)
-        worst = max(worst, float(np.max(np.abs((P * w) @ np.conj(D.T)))))
+        P = level_atoms(pair.psi, pair.alpha, j, -n_gram, n_gram, grid)
+        D = level_atoms(pair.psi_dual, pair.alpha, jp, -n_gram, n_gram, grid)
+        worst = max(worst, float(np.max(np.abs(P.gram(D)))))
     return worst
 
 

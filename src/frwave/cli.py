@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +72,12 @@ def _config_from_args(args) -> RunConfig:
         name, _, val = spec.partition("=")
         if not val:
             raise InputError(f"--tol expects name=value, got {spec!r}")
+        try:
+            tol = float(val)
+        except ValueError:
+            raise InputError(f"--tol {name}: {val!r} is not a number") from None
         d = cfg.to_dict()
-        d["tolerances"][name] = float(val)
+        d["tolerances"][name] = tol
         cfg = RunConfig.from_dict(d)
     return cfg
 
@@ -225,47 +230,56 @@ def _pipeline_report(command: str, cfg: RunConfig, bank,
                      curves: bool = True) -> AnalysisReport:
     rep = AnalysisReport(command, cfg)
     tol_b = cfg.tol("biortho")
+    mark = time.perf_counter()
+
+    def add(name, passed, value, detail=""):
+        # a verdict's stage is everything computed since the previous verdict
+        nonlocal mark
+        rep.add(name, passed, value, detail)
+        now = time.perf_counter()
+        rep.timings[name] = now - mark
+        mark = now
 
     gram = riesz.periodization_gram(phi, cfg.alpha, cfg.grid_count, cfg.kmax,
                                     tail_tol=cfg.tol("tail"))
     bounds = riesz.riesz_bounds(gram)
-    rep.add("riesz_lower_positive", bounds.lower > 1e-3, bounds.lower,
-            f"upper={bounds.upper:.6g}")
+    add("riesz_lower_positive", bounds.lower > 1e-3, bounds.lower,
+        f"upper={bounds.upper:.6g}")
 
     bio = riesz.check_biorthogonal(phi, phi_dual, cfg.alpha, tol=tol_b,
                                    grid_count=cfg.grid_count, kmax=cfg.kmax,
                                    n_gram=cfg.n_gram, tail_tol=cfg.tol("tail"))
-    rep.add("scaling_biortho", bio.overall_pass,
-            max(v.value for v in bio.verdicts.values()),
-            f"c={bio.extras['constant']:.6g}")
+    add("scaling_biortho", bio.overall_pass,
+        max(v.value for v in bio.verdicts.values()),
+        f"c={bio.extras['constant']:.6g}")
 
     mdef = biortho.matrix_condition_defect(bank, cfg.grid_count)
-    rep.add("matrix_condition", mdef <= cfg.tol("matrix"), mdef)
+    add("matrix_condition", mdef <= cfg.tol("matrix"), mdef)
 
     wbio = biortho.wavelet_biortho_check(pair, tol=tol_b, grid_count=cfg.grid_count,
                                          kmax=cfg.kmax, n_gram=cfg.n_gram,
                                          tail_tol=cfg.tol("tail"))
-    rep.add("wavelet_biortho", wbio.overall_pass,
-            max(v.value for v in wbio.verdicts.values()))
+    add("wavelet_biortho", wbio.overall_pass,
+        max(v.value for v in wbio.verdicts.values()))
 
     xorth = biortho.cross_orthogonality_check(pair, phi, phi_dual, cfg.n_gram)
-    rep.add("cross_orthogonality", xorth <= 1e-3, xorth)
+    add("cross_orthogonality", xorth <= 1e-3, xorth)
 
     grid = (-4.0, 2.0 ** -7, 1024)
     batt = wavelets.battery(cfg.seed, min(cfg.battery_size, 5), grid,
                             alpha=cfg.alpha, band_min=1.0)
     split = biortho.level_split_defect(batt[0], pair, phi, phi_dual,
                                        k_proj=cfg.k_proj)
-    rep.add("level_split", split <= cfg.tol("split"), split)
+    add("level_split", split <= cfg.tol("split"), split)
 
     decay = biortho.decay_check(pair, phi, phi_dual, eps=0.05)
-    rep.add("decay", decay.pass_phi and decay.pass_phi_dual
-            and decay.pass_psi_origin and decay.pass_psi_dual_origin, decay.C,
-            f"eps={decay.epsilon}")
+    add("decay", decay.pass_phi and decay.pass_phi_dual
+        and decay.pass_psi_origin and decay.pass_psi_dual_origin, decay.C,
+        f"eps={decay.epsilon}")
 
     fb, _, _ = biortho.riesz_frame_bounds(pair, batt, (-3, 4), (-32, 32))
-    rep.add("frame_duality", fb.duality_ok(), fb.A,
-            f"B={fb.B:.6g} A_dual={fb.A_dual:.6g} B_dual={fb.B_dual:.6g}")
+    add("frame_duality", fb.duality_ok(), fb.A,
+        f"B={fb.B:.6g} A_dual={fb.A_dual:.6g} B_dual={fb.B_dual:.6g}")
     rep.extras["frame_bounds"] = {"A": fb.A, "B": fb.B,
                                   "A_dual": fb.A_dual, "B_dual": fb.B_dual}
 

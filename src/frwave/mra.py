@@ -9,6 +9,14 @@ applied to the chirped (fractional) scaling function. With this convention a
 refinable classical profile carried on the chirp stays exactly refinable, and
 the two-scale relation reads phi = sum_n h[n] A[1,n] phi with taps h[n].
 
+The atoms are chirp-modulated shifts of one dechirped profile
+phi_c(s) = phi(s) exp(i s^2 cot(alpha)/2):
+
+    A[j,k] phi (t) = 2^(j/2) exp(i b^2 cot/2) phi_c(2^j t - k) exp(-i t^2 cot/2),
+
+b = k 2^-j, so a whole family k = k_lo..k_hi on one grid is a row phase, a
+matrix of shifted copies of phi_c and a column phase (see level_atoms).
+
 The auxiliary symbol of a tap sequence is
 
     Lambda(u) = (1/sqrt 2) sum_n h[n] exp(i n^2 cot(a)/8) exp(-i n u csc(a)),
@@ -25,10 +33,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyBattery, NonConvergent, SupportTooSmall
 from .frft import spectrum_on_grid
-from .grids import Angle, SampledSignal, as_angle, sample_at
+from .grids import Angle, SampledSignal, as_angle, resample, trap_weights
 
 TAU_TAP = 1e-6
 
@@ -66,17 +75,85 @@ class MRALevel:
     alpha: Angle
 
 
+@dataclass(frozen=True)
+class LevelAtoms:
+    """The atoms A[j,k] phi, k = k_lo..k_hi, on one grid, in factored form.
+
+    Atom k at grid point t_i is row_phase[k] * rows[k, i] * col_phase[i]:
+    rows[k, i] = phi_c(2^j t_i - k), row_phase[k] = 2^(j/2) exp(i b_k^2 cot/2)
+    with b_k = k 2^-j, and col_phase[i] = exp(-i t_i^2 cot/2). Inner
+    products use the grid's trapezoid weights.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    row_phase: np.ndarray = field(repr=False)
+    col_phase: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    def values(self) -> np.ndarray:
+        """The atoms themselves, one per row."""
+        return self.row_phase[:, None] * self.rows * self.col_phase
+
+    def analyze(self, f: np.ndarray) -> np.ndarray:
+        """<f, atom k> for every k; f holds grid samples, one signal per row."""
+        # conj of sum_i rows[k,i] conj(f_i) w_i col_phase_i: rows stay a view
+        z = np.conj(f) * (self.weights * self.col_phase)
+        return np.conj((self.rows @ z.T).T * self.row_phase)
+
+    def synthesize(self, coefs: np.ndarray) -> np.ndarray:
+        """sum_k coefs[k] atom k on the grid."""
+        return ((coefs * self.row_phase) @ self.rows) * self.col_phase
+
+    def gram(self, other: "LevelAtoms") -> np.ndarray:
+        """<atom k, other's atom m> for a family on the same grid and angle.
+
+        The column phases have modulus one and cancel.
+        """
+        inner = (self.rows * self.weights) @ np.conj(other.rows).T
+        return self.row_phase[:, None] * inner * np.conj(other.row_phase)
+
+
+def level_atoms(phi: SampledSignal, alpha, j: int, k_lo: int, k_hi: int,
+                grid: tuple[float, float, int]) -> LevelAtoms:
+    """A[j,k] phi for k = k_lo..k_hi sampled on the grid (t0, dt, count).
+
+    Row k samples phi on the grid 2^j t - k. When neighbouring rows are a
+    whole number S = 1/(2^j dt) of grid steps apart (within 1e-12), they
+    are windows of one union grid, resampled and dechirped once, read at
+    offsets (k_hi - k) S without a copy; that needs S <= count, or the union
+    would be mostly gaps between the windows. Otherwise each row is
+    resampled on its own grid.
+    """
+    angle = as_angle(alpha).require_regular()
+    t0, dt, count = grid
+    half_cot = angle.cot_alpha / 2.0
+    scale = 2.0 ** j
+    step = scale * dt
+    ks = np.arange(k_lo, k_hi + 1)
+    stride = round(1.0 / step)
+    if 1 <= stride <= count and abs(1.0 / step - stride) <= 1e-12:
+        # row k is the window that starts (k_hi - k) strides into the union
+        start = scale * t0 - k_hi
+        length = count + (ks.size - 1) * stride
+        s = start + step * np.arange(length)
+        union = resample(phi, (start, step, length)).values * np.exp(
+            1j * half_cot * s * s)
+        rows = sliding_window_view(union, count)[::stride][::-1]
+    else:
+        s = (scale * t0 - ks[:, None]) + step * np.arange(count)
+        rows = np.stack([resample(phi, (s_k[0], step, count)).values
+                         for s_k in s]) * np.exp(1j * half_cot * s * s)
+    b = ks / scale
+    t = t0 + dt * np.arange(count)
+    return LevelAtoms(rows, (2.0 ** (j / 2.0)) * np.exp(1j * half_cot * b * b),
+                      np.exp(-1j * half_cot * t * t), trap_weights(count, dt))
+
+
 def level_atom(phi: SampledSignal, alpha, j: int, k: int,
                grid: tuple[float, float, int]) -> SampledSignal:
     """A[j,k] applied to phi, sampled on the requested grid."""
-    angle = as_angle(alpha).require_regular()
-    t0, dt, count = grid
-    t = t0 + dt * np.arange(count)
-    s = (2.0 ** j) * t - k
-    b = k * 2.0 ** (-j)
-    vals = (2.0 ** (j / 2.0)) * sample_at(phi, s) * np.exp(
-        -1j * (angle.cot_alpha / 2.0) * (t * t - b * b - s * s))
-    return SampledSignal(t0, dt, vals)
+    vals = level_atoms(phi, alpha, j, k, k, grid).values()[0]
+    return SampledSignal(grid[0], grid[1], vals)
 
 
 def scaling_filter(phi: SampledSignal, alpha, support: tuple[int, int],
@@ -92,8 +169,7 @@ def scaling_filter(phi: SampledSignal, alpha, support: tuple[int, int],
     other = phi if phi_dual is None else phi_dual
     grid = (phi.t0, phi.dt, phi.n)
     nmin, nmax = support
-    taps = np.array([phi.inner(level_atom(other, angle, 1, n, grid))
-                     for n in range(nmin, nmax + 1)])
+    taps = level_atoms(other, angle, 1, nmin, nmax, grid).analyze(phi.values)
     edge = max(abs(taps[0]), abs(taps[-1]))
     if edge > tau_tap:
         raise SupportTooSmall(f"boundary tap magnitude {edge:.3e} > {tau_tap:g}")
@@ -113,11 +189,9 @@ def auxiliary_function(h: ScalingFilter, u) -> np.ndarray:
 def two_scale_apply(phi: SampledSignal, h: ScalingFilter,
                     grid: tuple[float, float, int]) -> SampledSignal:
     """sum_n h[n] A[1,n] phi on the grid — one cascade/two-scale step."""
-    angle = h.alpha
-    acc = np.zeros(grid[2], dtype=np.complex128)
-    for n, tap in zip(h.indices, h.taps):
-        acc += tap * level_atom(phi, angle, 1, int(n), grid).values
-    return SampledSignal(grid[0], grid[1], acc)
+    nmin = int(h.offset)
+    atoms = level_atoms(phi, h.alpha, 1, nmin, nmin + h.taps.size - 1, grid)
+    return SampledSignal(grid[0], grid[1], atoms.synthesize(h.taps))
 
 
 def two_scale_defect(phi: SampledSignal, h: ScalingFilter) -> float:
@@ -191,15 +265,10 @@ def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
 
 def project(f: SampledSignal, level: MRALevel, k_proj: int = 64) -> SampledSignal:
     """P_j f = sum_k <f, dual atom (j,k)> primal atom (j,k), |k| <= k_proj."""
-    angle = level.alpha.require_regular()
-    grid = (f.t0, f.dt, f.n)
-    acc = np.zeros(f.n, dtype=np.complex128)
-    for k in range(-k_proj, k_proj + 1):
-        dual_atom = level_atom(level.phi_dual, angle, level.j, k, grid)
-        coef = f.inner(dual_atom)
-        if coef != 0.0:
-            acc += coef * level_atom(level.phi, angle, level.j, k, grid).values
-    return SampledSignal(f.t0, f.dt, acc)
+    span = (level.j, -k_proj, k_proj, (f.t0, f.dt, f.n))
+    coefs = level_atoms(level.phi_dual, level.alpha, *span).analyze(f.values)
+    pf = level_atoms(level.phi, level.alpha, *span).synthesize(coefs)
+    return SampledSignal(f.t0, f.dt, pf)
 
 
 def projection_residual_curve(f: SampledSignal, phi: SampledSignal,

@@ -33,8 +33,8 @@ class RunConfig:
         if self.grid[2] < 16:
             raise InputError("grid count must be at least 16")
         for name, val in self.tolerances.items():
-            if not (val > 0):
-                raise InputError(f"tolerance {name!r} must be positive")
+            if not 0 < val < math.inf:
+                raise InputError(f"tolerance {name!r} must be positive and finite")
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])

@@ -29,9 +29,8 @@ from .grids import (
     SampledSignal,
     SpectrumSamples,
     as_angle,
-    resample,
-    trap_weights,
 )
+from .mra import level_atom, level_atoms
 from .report import AnalysisReport, RunConfig
 
 TAU_POS = 1e-6      # smallest periodization value we will divide by
@@ -122,14 +121,11 @@ def translate_spectrum(Theta: SpectrumSamples, n: int) -> SpectrumSamples:
 
 def translate_atom(phi: SampledSignal, alpha, n: int,
                    grid: tuple[float, float, int]) -> SampledSignal:
-    """phi(t-n) exp(-i n (t-n) cot(alpha)) sampled on the requested grid."""
-    angle = as_angle(alpha).require_regular()
-    t0, dt, count = grid
-    t = t0 + dt * np.arange(count)
-    # samples on the left: NumPy's complex a*b and b*a can differ in the last bit
-    vals = resample(phi, (t0 - n, dt, count)).values * np.exp(
-        -1j * n * (t - n) * angle.cot_alpha)
-    return SampledSignal(t0, dt, vals)
+    """phi(t-n) exp(-i n (t-n) cot(alpha)) sampled on the requested grid.
+
+    This is the level-0 atom A[0,n] phi.
+    """
+    return level_atom(phi, alpha, 0, n, grid)
 
 
 def _stacked_spectrum(phi: SampledSignal, angle: Angle, grid_count: int,
@@ -200,16 +196,16 @@ def _gram_grid(phi: SampledSignal, phi_dual: SampledSignal,
 def translate_gram(phi: SampledSignal, phi_dual: SampledSignal, alpha,
                    n_gram: int = 8,
                    grid: tuple[float, float, int] | None = None) -> np.ndarray:
-    """Gram matrix <phi_n, phi_dual_m> for |n|, |m| <= n_gram."""
+    """Gram matrix <phi_n, phi_dual_m> for |n|, |m| <= n_gram.
+
+    G[n,m] = exp(i (n^2 - m^2) cot/2) sum_i w_i Phi[n,i] conj(Psi[m,i]) with
+    Phi, Psi the dechirped translate rows of level_atoms; the t-chirp cancels.
+    """
     angle = as_angle(alpha).require_regular()
     if grid is None:
         grid = _gram_grid(phi, phi_dual, n_gram)
-    t0, dt, count = grid
-    ns = range(-n_gram, n_gram + 1)
-    A = np.stack([translate_atom(phi, angle, n, grid).values for n in ns])
-    B = np.stack([translate_atom(phi_dual, angle, n, grid).values for n in ns])
-    w = trap_weights(count, dt)
-    return (A * w) @ np.conj(B.T)
+    span = (0, -n_gram, n_gram, grid)
+    return level_atoms(phi, angle, *span).gram(level_atoms(phi_dual, angle, *span))
 
 
 def check_biorthogonal(phi: SampledSignal, phi_dual: SampledSignal, alpha,
@@ -291,15 +287,9 @@ def translate_expansion(f: SampledSignal, phi: SampledSignal,
     biorthonormal) pair still reconstructs. Returns (a, residual L2 norm).
     """
     angle = as_angle(alpha).require_regular()
-    grid = (f.t0, f.dt, f.n)
-    atoms = [translate_atom(phi, angle, n, grid) for n in range(-N, N + 1)]
-    duals = [translate_atom(phi_dual, angle, n, grid) for n in range(-N, N + 1)]
-    a = np.array([f.inner(d) for d in duals])
-    grid0 = _gram_grid(phi, phi_dual, 0)
-    c = translate_atom(phi, angle, 0, grid0).inner(
-        translate_atom(phi_dual, angle, 0, grid0))
-    recon = np.zeros(f.n, dtype=np.complex128)
-    for coef, atom in zip(a, atoms):
-        recon += (coef / c) * atom.values
+    span = (0, -N, N, (f.t0, f.dt, f.n))
+    a = level_atoms(phi_dual, angle, *span).analyze(f.values)
+    c = translate_gram(phi, phi_dual, angle, 0)[0, 0]
+    recon = level_atoms(phi, angle, *span).synthesize(a / c)
     residual = SampledSignal(f.t0, f.dt, f.values - recon).norm()
     return SequenceSpectrum(a, -N, angle), residual

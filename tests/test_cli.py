@@ -169,8 +169,20 @@ def test_report_timings_flag_breaks_determinism_only_by_timings(tmp_path):
     d1 = json.loads((out1 / "report.json").read_text())
     d2 = json.loads((out2 / "report.json").read_text())
     assert "timings" in d1 and "timings" not in d2
+    # one wall time per verdict stage, keyed by the verdict's name
+    assert sorted(d1["timings"]) == sorted(d1["verdicts"])
+    assert all(v > 0.0 for v in d1["timings"].values())
     d1.pop("timings")
     assert d1 == d2
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "nan", "-inf"])
+def test_tol_value_must_be_a_finite_number(tmp_path, value, capsys):
+    out = tmp_path / "rep"
+    assert main(["report", "haar", "--tol", f"tail={value}",
+                 "--out-dir", str(out)]) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_alpha_as_separate_token(tmp_path):

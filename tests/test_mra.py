@@ -18,9 +18,11 @@ from frwave import (
     haar_system,
     hat_signal,
     level_atom,
+    level_atoms,
     project,
     projection_residual_curve,
     refine_cascade,
+    sample_at,
     scaling_filter,
     two_scale_apply,
     two_scale_defect,
@@ -36,9 +38,56 @@ def test_level_zero_atom_is_chirped_translate():
     angle = as_angle(math.pi / 3)
     phi, _ = haar_system(angle)
     grid = (-6.0, 2.0 ** -10, 12 * 1024 + 1)
+    t = grid[0] + grid[1] * np.arange(grid[2])
     a = level_atom(phi, angle, 0, 3, grid)
-    b = translate_atom(phi, angle, 3, grid)
-    assert max_abs(a.values, b.values) < 1e-12
+    b = sample_at(phi, t - 3) * np.exp(-3j * (t - 3) * angle.cot_alpha)
+    assert max_abs(a.values, b) < 1e-12
+    assert max_abs(translate_atom(phi, angle, 3, grid).values, b) < 1e-12
+
+
+def per_atom(phi, angle, j, k, grid):
+    """A[j,k] phi by its defining formula: one sample_at and one exp."""
+    t0, dt, count = grid
+    t = t0 + dt * np.arange(count)
+    s = (2.0 ** j) * t - k
+    b = k * 2.0 ** (-j)
+    return (2.0 ** (j / 2.0)) * sample_at(phi, s) * np.exp(
+        -1j * (angle.cot_alpha / 2.0) * (t * t - b * b - s * s))
+
+
+# profile step, grid, and whether the rows are windows of one union grid
+ATOM_CASES = {
+    "same_step": (2.0 ** -7, (-4.0, 2.0 ** -7, 1025), True),
+    "mixed_step": (2.0 ** -6, (-4.0, 2.0 ** -8, 2049), True),
+    "off_dyadic": (2.0 ** -6, (-3.0, 0.003, 2001), False),
+}
+
+
+@pytest.mark.parametrize("j", [-3, -1, 0, 1, 3])
+@pytest.mark.parametrize("case", sorted(ATOM_CASES))
+def test_level_atoms_match_per_atom_formula(case, j):
+    phi_dt, grid, windows = ATOM_CASES[case]
+    angle = as_angle(math.pi / 3)
+    phi, _, _ = cdf53_system(angle, dt=phi_dt)
+    atoms = level_atoms(phi, angle, j, -2, 2, grid)
+    # windows are a view of the union grid; per-row resampling owns its rows
+    assert atoms.rows.flags.owndata is not windows
+    want = np.stack([per_atom(phi, angle, j, k, grid) for k in range(-2, 3)])
+    assert max_abs(atoms.values(), want) < 1e-13 * max_abs(want)
+
+
+def test_project_matches_per_atom_oracle():
+    angle = as_angle(math.pi / 3)
+    phi, _, _ = cdf53_system(angle, dt=2.0 ** -7)
+    box, _ = haar_system(angle, dt=2.0 ** -7)
+    grid = (-4.0, 2.0 ** -7, 1025)
+    f = gaussian_signal(grid, sigma=1.0, carrier=1.0, alpha=angle)
+    want = np.zeros(grid[2], dtype=np.complex128)
+    for k in range(-8, 9):
+        dual = SampledSignal(grid[0], grid[1], per_atom(box, angle, 1, k, grid))
+        want += f.inner(dual) * per_atom(phi, angle, 1, k, grid)
+    got = project(f, MRALevel(1, phi, box, angle), k_proj=8)
+    assert max_abs(got.values, want) < 1e-12 * max_abs(want)
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 2, math.pi / 3, 3.0 * math.pi / 5])

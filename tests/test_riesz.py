@@ -164,6 +164,25 @@ def test_translate_gram_mixed_steps_matches_pointwise_oracle(mixed_step_pair):
     assert max_abs(got, want) < 1e-12 * max_abs(want)
 
 
+def test_translate_gram_off_dyadic_step_matches_dense_gram():
+    # S = 1/dt is no integer: every translate row is resampled on its own
+    angle = as_angle(math.pi / 3)
+    phi = chirped_hat(angle, dt=0.003, margin=0.5)
+    dual = dual_scaling(phi, angle, out_grid=(phi.t0, phi.dt, phi.n))
+    grid = (phi.t0 - 3.0, phi.dt, phi.n + 2000)
+    t = grid[0] + grid[1] * np.arange(grid[2])
+
+    def atoms(g):
+        return np.stack([sample_at(g, t - n) * np.exp(-1j * n * (t - n) * angle.cot_alpha)
+                         for n in range(-2, 3)])
+
+    w = np.full(grid[2], grid[1])
+    w[[0, -1]] *= 0.5
+    want = (atoms(phi) * w) @ np.conj(atoms(dual).T)
+    got = translate_gram(phi, dual, angle, n_gram=2, grid=grid)
+    assert max_abs(got, want) < 1e-12 * max_abs(want)
+
+
 def test_translate_gram_chirp_toeplitz_identity(mixed_step_pair):
     # G[n, m] exp(-i cot n (n - m)) depends on n - m only
     angle, phi, dual, grid = mixed_step_pair
