@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .frft import spectrum_on_grid
-from .grids import Angle, SampledSignal, as_angle
+from .grids import Angle, SampledSignal, as_angle, box_signal
 from .mra import ScalingFilter
 
 SQ2 = math.sqrt(2.0)
@@ -55,17 +55,6 @@ def fractional_scaling(classical: SampledSignal, alpha) -> SampledSignal:
     return SampledSignal(
         classical.t0, classical.dt,
         classical.values * np.exp(-1j * (angle.cot_alpha / 2.0) * t * t))
-
-
-def box_signal(grid: tuple[float, float, int]) -> SampledSignal:
-    """Indicator of [0,1) with half-sample values at the jumps."""
-    t0, dt, n = grid
-    t = t0 + dt * np.arange(n)
-    vals = np.zeros(n, dtype=np.complex128)
-    vals[(t > 0.0) & (t < 1.0)] = 1.0
-    vals[np.abs(t) < 1e-12] = 0.5
-    vals[np.abs(t - 1.0) < 1e-12] = 0.5
-    return SampledSignal(t0, dt, vals)
 
 
 def hat_signal(grid: tuple[float, float, int]) -> SampledSignal:

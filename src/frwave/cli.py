@@ -18,7 +18,7 @@ import numpy as np
 
 from . import banks, biortho, mra, riesz, wavelets
 from .errors import FrwaveError, InputError
-from .frft import CHIRP, DIRECT, FrFTPlan, frft, inverse_frft
+from .frft import FrFTPlan, frft, inverse_frft
 from .grids import (
     SampledSignal,
     as_angle,
@@ -28,6 +28,9 @@ from .grids import (
     write_spectrum_csv,
 )
 from .report import AnalysisReport, RunConfig, dumps_deterministic
+
+# the signal grid every battery of the pipeline checks is drawn on
+BATTERY_GRID = (-4.0, 2.0 ** -7, 1024)
 
 _PI_RE = re.compile(r"^(-?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 
@@ -67,24 +70,23 @@ def _config_from_args(args) -> RunConfig:
     doc.setdefault("alpha", math.pi / 2.0)
     if args.seed is not None:
         doc["seed"] = args.seed
-    cfg = RunConfig.from_dict(doc)
-    for spec in args.tol or []:
-        name, _, val = spec.partition("=")
-        if not val:
-            raise InputError(f"--tol expects name=value, got {spec!r}")
-        try:
-            tol = float(val)
-        except ValueError:
-            raise InputError(f"--tol {name}: {val!r} is not a number") from None
-        d = cfg.to_dict()
-        d["tolerances"][name] = tol
-        cfg = RunConfig.from_dict(d)
-    return cfg
+    if args.tol:
+        tols = doc.setdefault("tolerances", {})
+        if not isinstance(tols, dict):
+            raise InputError("config tolerances must be a JSON object")
+        for spec in args.tol:
+            name, _, val = spec.partition("=")
+            if not val:
+                raise InputError(f"--tol expects name=value, got {spec!r}")
+            try:
+                tols[name] = float(val)
+            except ValueError:
+                raise InputError(f"--tol {name}: {val!r} is not a number") from None
+    return RunConfig.from_dict(doc)
 
 
 def cmd_frft(args) -> int:
     angle = as_angle(parse_angle(args.alpha))
-    method = {"chirp": CHIRP, "direct": DIRECT}[args.method]
     if args.inverse:
         spec = read_spectrum_csv(args.input)
         m, du = spec.n, spec.du
@@ -92,12 +94,11 @@ def cmd_frft(args) -> int:
             dt = 2.0 * math.pi * abs(spec.alpha.sin_alpha) / (m * du)
         else:
             dt = du
-        sig = inverse_frft(spec, (-(m // 2) * dt, dt, m), method)
+        sig = inverse_frft(spec, (-(m // 2) * dt, dt, m))
         write_signal_csv(args.output, sig)
         return 0
     sig = read_signal_csv(args.input)
-    plan = FrFTPlan.for_signal(sig, angle, method)
-    write_spectrum_csv(args.output, frft(sig, plan))
+    write_spectrum_csv(args.output, frft(sig, FrFTPlan.for_signal(sig, angle)))
     return 0
 
 
@@ -215,9 +216,8 @@ def cmd_frame_bounds(args) -> int:
     bank = _load_or_builtin_bank(args.bank, cfg.alpha)
     phi, phi_dual = _scaling_pair_for_bank(args.bank, bank)
     pair = biortho.wavelet_synthesize(bank, phi, phi_dual)
-    grid = (-4.0, 2.0 ** -7, 1024)
-    batt = wavelets.battery(cfg.seed, cfg.battery_size, grid, alpha=cfg.alpha,
-                            band_min=1.0)
+    batt = wavelets.battery(cfg.seed, cfg.battery_size, BATTERY_GRID,
+                            alpha=cfg.alpha, band_min=1.0)
     bounds, _, _ = biortho.riesz_frame_bounds(pair, batt, (-3, 4), (-32, 32))
     doc = {"A": bounds.A, "B": bounds.B, "A_dual": bounds.A_dual,
            "B_dual": bounds.B_dual, "duality_ok": bounds.duality_ok()}
@@ -265,8 +265,7 @@ def _pipeline_report(command: str, cfg: RunConfig, bank,
     xorth = biortho.cross_orthogonality_check(pair, phi, phi_dual, cfg.n_gram)
     add("cross_orthogonality", xorth <= 1e-3, xorth)
 
-    grid = (-4.0, 2.0 ** -7, 1024)
-    batt = wavelets.battery(cfg.seed, min(cfg.battery_size, 5), grid,
+    batt = wavelets.battery(cfg.seed, min(cfg.battery_size, 5), BATTERY_GRID,
                             alpha=cfg.alpha, band_min=1.0)
     split = biortho.level_split_defect(batt[0], pair, phi, phi_dual,
                                        k_proj=cfg.k_proj)
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--method", choices=("chirp", "direct"), default="chirp")
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(func=cmd_frft)
 

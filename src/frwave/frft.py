@@ -33,9 +33,6 @@ from .grids import (
     trap_weights,
 )
 
-DIRECT = "DirectQuadrature"
-CHIRP = "ChirpFactored"
-
 _CHUNK = 256
 
 
@@ -55,26 +52,26 @@ def kernel_eval(angle: Angle, t: float, xi: float) -> complex:
 
 @dataclass(frozen=True)
 class FrFTPlan:
-    """One transform configuration: angle, grids and evaluation method."""
+    """One transform configuration: the angle and the output grid.
+
+    The input grid is the transformed signal's own.
+    """
 
     angle: Angle
-    input_grid: tuple[float, float, int]   # (t0, dt, n)
     output_grid: tuple[float, float, int]  # (u0, du, m)
-    method: str = CHIRP
 
     @classmethod
-    def for_signal(cls, f: SampledSignal, alpha, method: str = CHIRP,
+    def for_signal(cls, f: SampledSignal, alpha,
                    output_grid: tuple[float, float, int] | None = None) -> "FrFTPlan":
         """Plan with the natural centered output grid for this input."""
         angle = as_angle(alpha)
-        in_grid = (f.t0, f.dt, f.n)
         if output_grid is None:
             if angle.is_regular:
                 du = 2.0 * math.pi * abs(angle.sin_alpha) / (f.n * f.dt)
                 output_grid = (-(f.n // 2) * du, du, f.n)
             else:
-                output_grid = in_grid
-        return cls(angle, in_grid, output_grid, method)
+                output_grid = (f.t0, f.dt, f.n)
+        return cls(angle, output_grid)
 
 
 def frft(f: SampledSignal, plan: FrFTPlan) -> SpectrumSamples:
@@ -87,12 +84,7 @@ def frft(f: SampledSignal, plan: FrFTPlan) -> SpectrumSamples:
     if angle.klass == REFLECTION:
         g = resample(reflected(f), plan.output_grid)
         return SpectrumSamples(u0, du, g.values, angle)
-
-    if plan.method == DIRECT:
-        vals = frft_eval(f, angle, u0 + du * np.arange(m))
-    else:
-        vals = spectrum_on_grid(f, angle, u0, du, m)
-    return SpectrumSamples(u0, du, vals, angle)
+    return SpectrumSamples(u0, du, spectrum_on_grid(f, angle, u0, du, m), angle)
 
 
 def spectrum_on_grid(f: SampledSignal, alpha, u0: float, du: float,
@@ -138,7 +130,10 @@ def _chirp_sum(x: np.ndarray, theta: float, m: int) -> np.ndarray:
 
 
 def frft_eval(f: SampledSignal, alpha, u_points: np.ndarray) -> np.ndarray:
-    """Direct trapezoid evaluation of the transform at arbitrary points."""
+    """Direct trapezoid evaluation of the transform at arbitrary points.
+
+    O(n*m) dense quadrature: the independent check of spectrum_on_grid.
+    """
     angle = as_angle(alpha).require_regular()
     u = np.asarray(u_points, dtype=np.float64)
     cot, csc = angle.cot_alpha, angle.csc_alpha
@@ -153,12 +148,9 @@ def frft_eval(f: SampledSignal, alpha, u_points: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(u_points))
 
 
-def inverse_frft(F: SpectrumSamples, grid: tuple[float, float, int],
-                 method: str = CHIRP) -> SampledSignal:
+def inverse_frft(F: SpectrumSamples, grid: tuple[float, float, int]) -> SampledSignal:
     """Inversion via the conjugate kernel, i.e. the transform at -alpha."""
-    g = F.as_signal()
-    plan = FrFTPlan(F.alpha.negated(), (g.t0, g.dt, g.n), grid, method)
-    back = frft(g, plan)
+    back = frft(F.as_signal(), FrFTPlan(F.alpha.negated(), grid))
     return SampledSignal(grid[0], grid[1], back.values)
 
 

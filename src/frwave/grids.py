@@ -252,6 +252,17 @@ def _resample_polyphase(signal: SampledSignal, t0: float, dt: float,
     return out
 
 
+def box_signal(grid: tuple[float, float, int]) -> SampledSignal:
+    """Indicator of [0,1) with half-sample values at the jumps."""
+    t0, dt, n = grid
+    t = t0 + dt * np.arange(n)
+    vals = np.zeros(n, dtype=np.complex128)
+    vals[(t > 0.0) & (t < 1.0)] = 1.0
+    vals[np.abs(t) < 1e-12] = 0.5
+    vals[np.abs(t - 1.0) < 1e-12] = 0.5
+    return SampledSignal(t0, dt, vals)
+
+
 def reflected(signal: SampledSignal) -> SampledSignal:
     """The signal t -> f(-t) on the mirrored grid."""
     t_end = signal.t0 + signal.dt * (signal.n - 1)

@@ -36,8 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyBattery, NonConvergent, SupportTooSmall
-from .frft import spectrum_on_grid
-from .grids import Angle, SampledSignal, as_angle, resample, trap_weights
+from .frft import chirp_modulate, spectrum_on_grid
+from .grids import Angle, SampledSignal, as_angle, box_signal, resample, trap_weights
 
 TAU_TAP = 1e-6
 
@@ -216,19 +216,6 @@ def two_scale_spectral_defect(phi: SampledSignal, h: ScalingFilter,
     return float(np.max(np.abs(theta_u - chirp * lam * theta_half)))
 
 
-def chirped_box(alpha, grid: tuple[float, float, int]) -> SampledSignal:
-    """Indicator of [0,1) on the chirp, with half-sample jump values."""
-    angle = as_angle(alpha).require_regular()
-    t0, dt, count = grid
-    t = t0 + dt * np.arange(count)
-    vals = np.zeros(count, dtype=np.complex128)
-    vals[(t > 0.0) & (t < 1.0)] = 1.0
-    vals[np.abs(t) < 1e-12] = 0.5
-    vals[np.abs(t - 1.0) < 1e-12] = 0.5
-    vals = vals * np.exp(-1j * (angle.cot_alpha / 2.0) * t * t)
-    return SampledSignal(t0, dt, vals)
-
-
 def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
                    iterations: int = 40,
                    start: SampledSignal | None = None,
@@ -244,7 +231,7 @@ def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
                                       * h.indices.astype(float) ** 2)))
     if abs(gain - math.sqrt(2.0)) > lowpass_tol * math.sqrt(2.0):
         raise NonConvergent(f"lowpass normalization sum is {gain:.6g}, not sqrt(2)")
-    phi = chirped_box(angle, grid) if start is None else start
+    phi = chirp_modulate(box_signal(grid), angle, -1) if start is None else start
     increments: list[float] = []
     rising = 0
     for _ in range(iterations):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import InputError
 
@@ -12,7 +12,6 @@ DEFAULT_TOLERANCES = {
     "biortho": 2e-2,
     "matrix": 1e-6,
     "split": 1e-3,
-    "span": 1e-3,
     "tail": 5e-2,
 }
 
@@ -20,7 +19,6 @@ DEFAULT_TOLERANCES = {
 @dataclass(frozen=True)
 class RunConfig:
     alpha: float
-    grid: tuple[float, float, int] = (-16.0, 2.0 ** -7, 4096)
     kmax: int = 64
     grid_count: int = 256
     n_gram: int = 8
@@ -30,9 +28,10 @@ class RunConfig:
     battery_size: int = 20
 
     def __post_init__(self):
-        if self.grid[2] < 16:
-            raise InputError("grid count must be at least 16")
         for name, val in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise InputError(f"unknown tolerance {name!r}; known: "
+                                 f"{', '.join(DEFAULT_TOLERANCES)}")
             if not 0 < val < math.inf:
                 raise InputError(f"tolerance {name!r} must be positive and finite")
 
@@ -40,36 +39,26 @@ class RunConfig:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "grid": {"t0": self.grid[0], "dt": self.grid[1], "n": self.grid[2]},
-            "kmax": self.kmax,
-            "grid_count": self.grid_count,
-            "n_gram": self.n_gram,
-            "k_proj": self.k_proj,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "seed": self.seed,
-            "battery_size": self.battery_size,
-        }
+        d = asdict(self)
+        d["tolerances"] = dict(sorted(self.tolerances.items()))
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        """A config from a to_dict document; absent keys keep the field defaults.
+
+        Absent tolerances keep their defaults too. An unknown key is refused.
+        """
+        casts = {f.name: {"float": float, "int": int, "dict": dict}[f.type]
+                 for f in fields(cls)}
+        unknown = sorted(set(d) - set(casts))
+        if unknown:
+            raise InputError(f"unknown config key(s): {', '.join(unknown)}")
         try:
-            g = d.get("grid", {"t0": -16.0, "dt": 2.0 ** -7, "n": 4096})
-            tol = dict(DEFAULT_TOLERANCES)
-            tol.update(d.get("tolerances", {}))
-            return cls(
-                alpha=float(d["alpha"]),
-                grid=(float(g["t0"]), float(g["dt"]), int(g["n"])),
-                kmax=int(d.get("kmax", 64)),
-                grid_count=int(d.get("grid_count", 256)),
-                n_gram=int(d.get("n_gram", 8)),
-                k_proj=int(d.get("k_proj", 64)),
-                tolerances=tol,
-                seed=int(d.get("seed", 2026)),
-                battery_size=int(d.get("battery_size", 20)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            kw = {name: casts[name](val) for name, val in d.items()}
+            kw["tolerances"] = {**DEFAULT_TOLERANCES, **kw.get("tolerances", {})}
+            return cls(**kw)
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad run configuration: {exc}") from exc
 
 

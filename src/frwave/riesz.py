@@ -233,7 +233,7 @@ def check_biorthogonal(phi: SampledSignal, phi_dual: SampledSignal, alpha,
     report = AnalysisReport(
         "check_biorthogonal",
         RunConfig(alpha=angle.alpha, kmax=kmax, grid_count=grid_count,
-                  n_gram=n_gram, tolerances={"biortho": tol}),
+                  n_gram=n_gram, tolerances={"biortho": tol, "tail": tail_tol}),
     )
     report.add("spectral_constancy", spectral_ok,
                spectral_dev / abs(mean) if abs(mean) > TAU_POS else math.inf,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyBattery, GridCoverage
 from .frft import spectrum_on_grid
-from .grids import Angle, SampledSignal, as_angle, sample_at, trap_weights
+from .grids import Angle, SampledSignal, as_angle, box_signal, resample
 
 COVERAGE_TOL = 1e-3   # fraction of atom mass allowed to fall off-grid
 
@@ -89,7 +89,9 @@ def make_mother(name: str, grid: tuple[float, float, int] | None = None) -> Moth
     elif name == "mexican":
         vals = (1.0 - t * t) * np.exp(-t * t / 2.0)
     elif name == "haar":
-        vals = _haar_values(t)
+        # box(2t) - box(2t - 1), with box's half-sample values at the jumps
+        vals = (box_signal((2.0 * t0, 2.0 * dt, n)).values
+                - box_signal((2.0 * t0 - 1.0, 2.0 * dt, n)).values)
     elif name == "meyer":
         vals = _meyer_values(grid)
     else:
@@ -97,18 +99,6 @@ def make_mother(name: str, grid: tuple[float, float, int] | None = None) -> Moth
     mother = MotherWavelet(SampledSignal(t0, dt, vals), name)
     _MOTHER_CACHE[key] = mother
     return mother
-
-
-def _haar_values(t: np.ndarray) -> np.ndarray:
-    # half-sample values at the three jumps keep trapezoid quadrature exact
-    vals = np.zeros(t.size, dtype=np.complex128)
-    vals[(t > 0.0) & (t < 0.5)] = 1.0
-    vals[(t > 0.5) & (t < 1.0)] = -1.0
-    eps = 1e-12
-    vals[np.abs(t) < eps] = 0.5
-    vals[np.abs(t - 0.5) < eps] = 0.0
-    vals[np.abs(t - 1.0) < eps] = -0.5
-    return vals
 
 
 def _meyer_nu(x: np.ndarray) -> np.ndarray:
@@ -146,7 +136,9 @@ def atom_continuous(psi: MotherWavelet, p: ContinuousAtomParams,
     alpha = as_angle(p.alpha).require_regular()
     t0, dt, n = grid
     t = t0 + dt * np.arange(n)
-    base = sample_at(psi.signal, (t - p.b) / p.a) / math.sqrt(p.a)
+    # the points (t - b)/a form the uniform grid ((t0 - b)/a, dt/a, n)
+    scaled = resample(psi.signal, ((t0 - p.b) / p.a, dt / p.a, n))
+    base = scaled.values / math.sqrt(p.a)
     phase = np.exp(-1j * (alpha.cot_alpha / 2.0) * (t * t - p.b * p.b))
     atom = SampledSignal(t0, dt, base * phase)
     _check_coverage(atom, psi)

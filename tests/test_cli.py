@@ -105,6 +105,18 @@ def test_biortho_check_cli(tmp_path):
     assert doc["constant"] == pytest.approx(1.0, abs=1e-2)
 
 
+def test_biortho_check_records_tail_tolerance(tmp_path):
+    from frwave import haar_system
+    phi, _ = haar_system(math.pi / 3)
+    src = tmp_path / "phi.csv"
+    write_signal_csv(src, phi)
+    out = tmp_path / "bio.json"
+    assert main(["biortho-check", str(src), str(src), "-o", str(out),
+                 "--alpha", "pi/3", "--tol", "tail=0.04"]) == 0
+    tols = json.loads(out.read_text())["config"]["tolerances"]
+    assert tols == {"biortho": 2e-2, "tail": 0.04}
+
+
 def test_config_alpha_kept_unless_alpha_given(tmp_path):
     from frwave import haar_system
     phi, _ = haar_system(math.pi / 3)
@@ -181,6 +193,23 @@ def test_tol_value_must_be_a_finite_number(tmp_path, value, capsys):
     out = tmp_path / "rep"
     assert main(["report", "haar", "--tol", f"tail={value}",
                  "--out-dir", str(out)]) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    ["--tol", "biorth=1e-12"],
+    {"alpha": math.pi / 3, "kmx": 32},
+    {"alpha": math.pi / 3, "grid": {"t0": -2.0, "dt": 0.5, "n": 16}},
+], ids=["tolerance_name", "config_key", "config_grid"])
+def test_unknown_settings_are_refused(tmp_path, setting, capsys):
+    out = tmp_path / "rep"
+    argv = ["report", "haar", "--alpha", "pi/3", "--out-dir", str(out)]
+    if isinstance(setting, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        setting = ["--config", str(cfg)]
+    assert main(argv + setting) == 2
     assert "InputError" in capsys.readouterr().err
     assert not out.exists()
 

@@ -140,7 +140,7 @@ def test_resample_matches_sample_at(name, monkeypatch):
 def test_identity_frft_onto_offset_grid_matches_sample_at():
     g = gaussian_signal((-8.0, 2.0 ** -5, 513), center=0.5, carrier=2.0)
     grid = (-8.0 + 2.0 ** -6, 2.0 ** -5, 513)
-    spec = frft(g, FrFTPlan(as_angle(0.0), (g.t0, g.dt, g.n), grid))
+    spec = frft(g, FrFTPlan(as_angle(0.0), grid))
     want = sample_at(g, grid[0] + grid[1] * np.arange(grid[2]))
     assert rel_err(spec.values, want) < 1e-12
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frwave import (
+    EmptyBattery,
     MRALevel,
     NonConvergent,
     SampledSignal,
@@ -11,14 +12,18 @@ from frwave import (
     SupportTooSmall,
     as_angle,
     auxiliary_function,
+    battery,
+    box_signal,
     cdf53_system,
     cdf53_taps,
+    chirp_modulate,
     fractional_scaling,
     fractional_taps,
     haar_system,
     hat_signal,
     level_atom,
     level_atoms,
+    operator_norm_estimate,
     project,
     projection_residual_curve,
     refine_cascade,
@@ -28,7 +33,6 @@ from frwave import (
     two_scale_defect,
     two_scale_spectral_defect,
 )
-from frwave.mra import chirped_box
 from frwave.riesz import translate_atom
 
 from conftest import gaussian_signal, max_abs
@@ -199,9 +203,20 @@ def test_projection_residual_decreases_for_smooth_signal():
 
 
 def test_chirped_box_is_haar_scaling_profile():
+    # the cascade's default start
     angle = as_angle(math.pi / 4)
     grid = (-1.0, 2.0 ** -8, 3 * 256 + 1)
-    box = chirped_box(angle, grid)
+    box = chirp_modulate(box_signal(grid), angle, -1)
     phi, _ = haar_system(angle, dt=2.0 ** -8)  # same grid by construction
     assert box.t0 == phi.t0 and box.n == phi.n
     assert max_abs(box.values, phi.values) < 1e-12
+
+
+def test_operator_norm_estimate_orthonormal_haar():
+    # orthogonal projectors do not grow a norm
+    angle = as_angle(math.pi / 3)
+    phi, _ = haar_system(angle)
+    batt = battery(3, 2, (-4.0, 2.0 ** -7, 1024), alpha=angle)
+    assert 0.9 < operator_norm_estimate(phi, phi, angle, batt) <= 1.0
+    with pytest.raises(EmptyBattery):
+        operator_norm_estimate(phi, phi, angle, [])

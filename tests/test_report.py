@@ -32,15 +32,20 @@ def test_runconfig_roundtrip_and_overrides():
     d = cfg.to_dict()
     d["tolerances"]["matrix"] = 1e-3
     assert RunConfig.from_dict(d).tol("matrix") == 1e-3
+    # absent keys and tolerances keep the defaults
+    assert RunConfig.from_dict({"alpha": 1.0}) == RunConfig(alpha=1.0)
 
 
 def test_runconfig_validation():
     with pytest.raises(InputError):
-        RunConfig(alpha=1.0, grid=(-1.0, 0.5, 4))
-    with pytest.raises(InputError):
         RunConfig(alpha=1.0, tolerances={"biortho": 0.0})
     with pytest.raises(InputError):
         RunConfig.from_dict({})
+    # names the pipeline does not read are refused, not carried along
+    with pytest.raises(InputError, match="span"):
+        RunConfig(alpha=1.0, tolerances={"span": 1e-3})
+    with pytest.raises(InputError, match="grid"):
+        RunConfig.from_dict({"alpha": 1.0, "grid": {"t0": -1.0, "dt": 0.5, "n": 16}})
 
 
 def test_analysis_report_verdicts():

@@ -7,9 +7,11 @@ from frwave import (
     RieszLowerBoundZero,
     SampledSignal,
     SequenceSpectrum,
+    SpectrumSamples,
     TailTooFat,
     as_angle,
     biortho_profile,
+    cdf53_system,
     check_biorthogonal,
     dual_scaling,
     fractional_scaling,
@@ -19,9 +21,11 @@ from frwave import (
     riesz_bounds,
     sample_at,
     sequence_spectrum_eval,
+    spectrum_on_grid,
     translate_atom,
     translate_expansion,
     translate_gram,
+    translate_spectrum,
 )
 
 from conftest import gaussian_signal, max_abs
@@ -193,3 +197,17 @@ def test_translate_gram_chirp_toeplitz_identity(mixed_step_pair):
     for d in range(-8, 9):
         diag = np.diagonal(toeplitz, -d)
         assert max_abs(diag, diag[0]) < 1e-12 * max_abs(g)
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 3, 2.5])
+def test_translate_spectrum_is_spectrum_of_translate_atom(alpha):
+    angle = as_angle(alpha)
+    phi, _, _ = cdf53_system(angle)
+    grid = (-6.0, phi.dt, 11 * 1024 + 1)
+    u0, du, m = -24.0, 0.05, 961
+    theta = SpectrumSamples(u0, du, spectrum_on_grid(phi, angle, u0, du, m), angle)
+    for n in (-3, 2):
+        got = translate_spectrum(theta, n)
+        want = spectrum_on_grid(translate_atom(phi, angle, n, grid), angle, u0, du, m)
+        assert (got.u0, got.du, got.alpha) == (u0, du, angle)
+        assert max_abs(got.values, want) < 1e-12 * max_abs(want)

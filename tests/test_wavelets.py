@@ -120,19 +120,20 @@ def test_atom_spectrum_closed_form():
 
 def test_frwt_chirp_conjugation():
     # the fractional coefficient is the classical coefficient of the
-    # chirp-modulated signal, times exp(-i b^2 cot/2)
+    # chirp-modulated signal, times exp(-i b^2 cot/2); at a = 2, b = 0.3 the
+    # atom's points fall between the mother's samples
     psi = make_mother("mexican")
     grid = (-16.0, 2.0 ** -7, 4096)
     f = gaussian_signal(grid, sigma=1.5, carrier=1.0)
     t = f.grid
     w = trap_weights(f.n, f.dt)
-    for alpha in (math.pi / 3, math.pi / 4):
-        angle = as_angle(alpha)
-        cot = angle.cot_alpha
-        for a, b in ((0.5, 0.25), (1.0, -1.0), (2.0, 1.5)):
+    for a, b in ((0.5, 0.25), (1.0, -1.0), (2.0, 1.5), (2.0, 0.3)):
+        atom_vals = sample_at(psi.signal, (t - b) / a) / math.sqrt(a)
+        for alpha in (math.pi / 3, math.pi / 4):
+            angle = as_angle(alpha)
+            cot = angle.cot_alpha
             got = frwt_continuous(f, psi, ContinuousAtomParams(angle, a, b))
             chirped = f.values * np.exp(1j * (cot / 2.0) * t * t)
-            atom_vals = sample_at(psi.signal, (t - b) / a) / math.sqrt(a)
             classical = np.sum(w * chirped * np.conj(atom_vals))
             want = np.exp(-1j * (b * b) * cot / 2.0) * classical
             assert abs(got - want) < 1e-8
