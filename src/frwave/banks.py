@@ -18,7 +18,7 @@ import numpy as np
 
 from .frft import spectrum_on_grid
 from .grids import Angle, SampledSignal, as_angle, box_signal
-from .mra import ScalingFilter
+from .mra import ScalingFilter, tap_symbol
 
 SQ2 = math.sqrt(2.0)
 
@@ -83,11 +83,10 @@ def spectral_scaling(taps: np.ndarray, offset: int, alpha,
     dw = math.pi / max(span, 1.0)   # alias period twice the grid span
     m = 2 * int(math.ceil(w_max / dw)) + 1
     w = dw * (np.arange(m) - m // 2)
-    n = offset + np.arange(len(taps))
     coef = np.asarray(taps, dtype=np.complex128) / SQ2
     hat = np.ones(m, dtype=np.complex128)
     for j in range(1, levels + 1):
-        hat *= np.exp(-1j * np.outer(w / 2.0 ** j, n)) @ coef
+        hat *= tap_symbol(coef, offset, w / 2.0 ** j)
     vals = spectrum_on_grid(SampledSignal(w[0], dw, hat), -math.pi / 2.0, t0, dt, count)
     classical = SampledSignal(t0, dt, vals / math.sqrt(2.0 * math.pi))
     return fractional_scaling(classical, angle)

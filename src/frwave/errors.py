@@ -9,10 +9,6 @@ class DegenerateAngle(FrwaveError):
     """Operation requires a regular angle (alpha not a multiple of pi)."""
 
 
-class GridMismatch(FrwaveError):
-    """Grids are incompatible with the requested fast transform."""
-
-
 class GridCoverage(FrwaveError):
     """A grid does not cover the effective support of a signal."""
 

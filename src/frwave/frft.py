@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .grids import (
     IDENTITY,
@@ -28,6 +27,7 @@ from .grids import (
     SampledSignal,
     SpectrumSamples,
     as_angle,
+    convolve_valid,
     reflected,
     resample,
     trap_weights,
@@ -117,16 +117,12 @@ def _chirp_sum(x: np.ndarray, theta: float, m: int) -> np.ndarray:
     s = abs(theta) * n / (2.0 * math.pi)
     if m == n and n * abs(s - 1.0) <= 1e-9:
         return np.fft.fft(x) if theta > 0 else np.fft.ifft(x) * n
-    # Bluestein: jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into a convolution
-    # with exp(i theta l^2/2), l = -(n-1)..m-1, stored circularly
-    size = next_fast_len(n + m - 1)
-    k = np.arange(max(n, m), dtype=np.float64)
-    chirp = np.exp(-0.5j * theta * k * k)
-    kern = np.zeros(size, dtype=np.complex128)
-    kern[:m] = np.conj(chirp[:m])
-    kern[size - n + 1:] = np.conj(chirp[1:n])[::-1]
-    conv = np.fft.ifft(np.fft.fft(x * chirp[:n], size) * np.fft.fft(kern))
-    return conv[:m] * chirp[:m]
+    # Bluestein: jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into lags
+    # n-1 .. n+m-2 of the convolution of x * chirp with exp(i theta l^2/2),
+    # l = -(n-1)..m-1; the chirp is the kernel's conjugate at l = -j and l = k
+    l = np.arange(1 - n, m, dtype=np.float64)
+    kern = np.exp(0.5j * theta * l * l)
+    return np.conj(kern[n - 1:]) * convolve_valid(x * np.conj(kern[n - 1::-1]), kern)
 
 
 def frft_eval(f: SampledSignal, alpha, u_points: np.ndarray) -> np.ndarray:

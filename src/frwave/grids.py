@@ -14,7 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DegenerateAngle, InputError
 
@@ -207,8 +206,8 @@ def resample(signal: SampledSignal, grid: tuple[float, float, int]) -> SampledSi
     When the step ratio is a small rational p/q (p, q <= RESAMPLE_MAX_TERM)
     the grid splits into q residue classes that each read the source at a
     fixed offset plus a stride of p samples: hit classes read samples
-    directly, the others are one FFT convolution of the samples with a sinc
-    kernel. This is the same full sinc sum sample_at evaluates point by
+    directly, the others are the valid lags of one FFT convolution of the
+    samples with a sinc kernel (convolve_valid). This is the same full sinc sum sample_at evaluates point by
     point, leakage outside the source grid included. Other ratios go
     through sample_at.
     """
@@ -248,8 +247,33 @@ def _resample_polyphase(signal: SampledSignal, t0: float, dt: float,
             # sum_i v[i] sinc(x + l*p - i) is lag n-1 + l*p of v * kern
             k = math.floor(x)
             kern = np.sinc((x - k) + np.arange(k - n + 1, k + p * (cls.size - 1) + 1))
-            cls[:] = fftconvolve(v, kern)[n - 1 + p * l]
+            cls[:] = convolve_valid(v, kern)[::p]
     return out
+
+
+def convolve_valid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lags len(a)-1 .. len(b)-1 of the linear convolution a * b.
+
+    One circular FFT convolution of length >= len(b) (len(a) <= len(b)):
+    its wrap-around reaches only the lags below len(a)-1, so these are exact.
+    """
+    size = _fast_len(len(b))
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))
+    return conv[len(a) - 1:len(b)]
+
+
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length numpy's FFT takes quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def box_signal(grid: tuple[float, float, int]) -> SampledSignal:

@@ -182,8 +182,14 @@ def auxiliary_function(h: ScalingFilter, u) -> np.ndarray:
     n = h.indices
     u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     coef = h.taps * np.exp(1j * (angle.cot_alpha / 8.0) * n * n) / math.sqrt(2.0)
-    out = np.exp(-1j * angle.csc_alpha * np.outer(u_arr, n)) @ coef
+    out = tap_symbol(coef, h.offset, angle.csc_alpha * u_arr)
     return out if np.ndim(u) else complex(out[0])
+
+
+def tap_symbol(coef: np.ndarray, offset: int, omega: np.ndarray) -> np.ndarray:
+    """sum_n coef[n - offset] exp(-i n omega), by Horner's rule in exp(-i omega)."""
+    z = np.exp(-1j * omega)
+    return np.polyval(coef[::-1], z) * z ** offset
 
 
 def two_scale_apply(phi: SampledSignal, h: ScalingFilter,

@@ -30,7 +30,7 @@ from .grids import (
     SpectrumSamples,
     as_angle,
 )
-from .mra import level_atom, level_atoms
+from .mra import level_atom, level_atoms, tap_symbol
 from .report import AnalysisReport, RunConfig
 
 TAU_POS = 1e-6      # smallest periodization value we will divide by
@@ -107,7 +107,7 @@ def sequence_spectrum_eval(c: SequenceSpectrum, u) -> np.ndarray:
     n = c.indices
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     phase = np.exp(1j * (angle.cot_alpha / 2.0) * n * n)
-    out = np.exp(-1j * angle.csc_alpha * np.outer(u, n)) @ (c.coefficients * phase)
+    out = tap_symbol(c.coefficients * phase, c.offset, angle.csc_alpha * u)
     return out if out.size > 1 else complex(out[0])
 
 
@@ -174,7 +174,8 @@ def biortho_profile(phi: SampledSignal, phi_dual: SampledSignal, alpha,
     """L(u) = sum_{|k|<=kmax} Theta(u+kP) conj(Theta_dual(u+kP)) on [0, P)."""
     angle = as_angle(alpha).require_regular()
     stack, du = _stacked_spectrum(phi, angle, grid_count, kmax)
-    stack_d, _ = _stacked_spectrum(phi_dual, angle, grid_count, kmax)
+    stack_d = (stack if phi_dual is phi
+               else _stacked_spectrum(phi_dual, angle, grid_count, kmax)[0])
     profile = np.sum(stack * np.conj(stack_d), axis=0)
     ring = np.max(np.abs(stack[0] * stack_d[0]) + np.abs(stack[-1] * stack_d[-1]))
     tail = float(kmax * ring)

@@ -137,6 +137,34 @@ def test_resample_matches_sample_at(name, monkeypatch):
         assert np.all(np.abs(got.values[hits[outside] + 1]) > 0.0)
 
 
+@pytest.mark.parametrize("complex_b", [False, True], ids=["real b", "complex b"])
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 13), (7, 7), (97, 97), (13, 101),
+                                    (31, 1009), (64, 1000), (2, 4097)])
+def test_convolve_valid_matches_direct_convolution(na, nb, complex_b):
+    rng = np.random.default_rng(na * nb)
+    a = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+    b = rng.standard_normal(nb) + (1j * rng.standard_normal(nb) if complex_b else 0.0)
+    want = np.convolve(a, b)[na - 1:nb]
+    got = grids.convolve_valid(a, b)
+    assert got.shape == want.shape
+    assert rel_err(got, want) < 1e-12
+
+
+def test_fast_len_is_least_five_smooth_length():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    want, k = [], 1
+    for n in range(1, 5001):
+        while not smooth(k) or k < n:
+            k += 1
+        want.append(k)
+    assert [grids._fast_len(n) for n in range(1, 5001)] == want
+
+
 def test_identity_frft_onto_offset_grid_matches_sample_at():
     g = gaussian_signal((-8.0, 2.0 ** -5, 513), center=0.5, carrier=2.0)
     grid = (-8.0 + 2.0 ** -6, 2.0 ** -5, 513)
