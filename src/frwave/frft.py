@@ -94,8 +94,10 @@ def spectrum_on_grid(f: SampledSignal, alpha, u0: float, du: float,
     Same trapezoid sum as frft_eval, in O((n+m) log(n+m)). K(t, u) factors
     as chirp(u) * exp(-i t u csc) * chirp(t); on t = t0 + j*dt the middle
     factor is exp(-i theta j k) up to phases in j and k alone, with the real
-    step theta = csc*du*dt. That sum is one FFT when the grid is the natural
-    one (m == n, |theta| n = 2 pi) and a Bluestein convolution otherwise.
+    step theta = csc*du*dt. When theta = +-2 pi/N with N <= n+m-1 (the
+    natural grid, or a periodization stack sampled at du = P/grid_count on a
+    step dt with grid_count/dt <= n+m-1), that sum is one length-N FFT of
+    the input folded modulo N; otherwise it is a Bluestein convolution.
     """
     angle = as_angle(alpha).require_regular()
     cot, csc = angle.cot_alpha, angle.csc_alpha
@@ -112,11 +114,16 @@ def spectrum_on_grid(f: SampledSignal, alpha, u0: float, du: float,
 def _chirp_sum(x: np.ndarray, theta: float, m: int) -> np.ndarray:
     """sum_j x[j] exp(-i theta j k) for k < m."""
     n = x.size
-    # the FFT takes theta = +-2 pi/n, which puts the phase of each term off
-    # by at most 2 pi n |s - 1| radians
-    s = abs(theta) * n / (2.0 * math.pi)
-    if m == n and n * abs(s - 1.0) <= 1e-9:
-        return np.fft.fft(x) if theta > 0 else np.fft.ifft(x) * n
+    # theta = +-2 pi/N makes the sum a length-N DFT of x folded modulo N, read
+    # periodically in k; taking theta as 2 pi/N moves the phase of term (j, k)
+    # by |theta - 2 pi/N| j k, at most 2 pi 1e-9 radians on (n-1)(m-1)
+    N = round(2.0 * math.pi / abs(theta)) if theta else 0
+    if 0 < N < n + m and (abs(abs(theta) - 2.0 * math.pi / N) * (n - 1) * (m - 1)
+                          <= 2e-9 * math.pi):
+        if n > N:
+            x = np.pad(x, (0, -n % N)).reshape(-1, N).sum(axis=0)
+        y = np.fft.fft(x, N) if theta > 0 else np.fft.ifft(x, N) * N
+        return y[:m] if m <= N else np.tile(y, -(-m // N))[:m]
     # Bluestein: jk = (j^2 + k^2 - (k-j)^2)/2 turns the sum into lags
     # n-1 .. n+m-2 of the convolution of x * chirp with exp(i theta l^2/2),
     # l = -(n-1)..m-1; the chirp is the kernel's conjugate at l = -j and l = k

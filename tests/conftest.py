@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,17 @@ def gaussian_signal(grid, sigma=1.0, center=0.0, carrier=0.0, alpha=None):
         angle = as_angle(alpha)
         vals *= np.exp(-1j * (angle.cot_alpha / 2.0) * t * t)
     return SampledSignal(t0, dt, vals)
+
+
+@pytest.fixture
+def bluestein_calls(monkeypatch):
+    """Input sizes of the Bluestein convolutions frwave.frft makes in a test."""
+    frft_module = importlib.import_module("frwave.frft")
+    convolve = frft_module.convolve_valid
+    calls = []
+    monkeypatch.setattr(frft_module, "convolve_valid",
+                        lambda a, b: calls.append(a.size) or convolve(a, b))
+    return calls
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frwave import (
     FrFTPlan,
@@ -10,14 +12,17 @@ from frwave import (
     as_angle,
     cdf53_system,
     chirp_modulate,
+    fractional_scaling,
     frft,
     frft_eval,
+    hat_signal,
     inverse_frft,
     kernel_constant,
     kernel_eval,
     parseval_defect,
     spectrum_on_grid,
 )
+from frwave.frft import _chirp_sum
 
 from conftest import gaussian_signal, max_abs
 
@@ -104,9 +109,10 @@ def test_identity_and_reflection_branches():
     assert max_abs(refl.values, h.values[::-1]) < 1e-12
 
 
-def test_chirp_plan_on_any_output_grid_matches_direct():
-    # output grids off the natural one take the Bluestein path, a step
-    # 1e-10 off the natural one included (a plain FFT there errs by ~1e-7)
+def test_chirp_plan_on_any_output_grid_matches_direct(bluestein_calls):
+    # both grids take the Bluestein path: the first's step is no 2 pi/N with
+    # N <= n + m - 1, and one FFT on a step 1e-10 off the natural one would
+    # err by ~1e-7
     g = gaussian_signal(GRID, sigma=1.0)
     angle = as_angle(math.pi / 3)
     du = 2.0 * math.pi * angle.sin_alpha / (GRID[2] * GRID[1]) * (1.0 + 1e-10)
@@ -114,6 +120,7 @@ def test_chirp_plan_on_any_output_grid_matches_direct():
         fc = frft(g, FrFTPlan(angle, out))
         fd = frft_eval(g, angle, fc.grid)
         assert max_abs(fc.values, fd) < 1e-10
+    assert bluestein_calls == [1024, 1024]
 
 
 def test_chirp_modulate_inverse_pair():
@@ -144,3 +151,69 @@ def test_spectrum_on_grid_matches_direct_eval_on_a_riesz_stack():
     k = np.r_[0:64, 5000:5064, m // 2 - 32:m // 2 + 32, m - 64:m]
     slow = frft_eval(phi, angle, u0 + du * k)
     assert np.max(np.abs(fast[k] - slow)) < 1e-10 * np.max(np.abs(fast))
+
+
+def chirped_hat(angle, dt):
+    # the benchmark's dual-workload hat: support [-1, 1] inside [-2, 2]
+    n = int(round(4.0 / dt)) + 1
+    return fractional_scaling(hat_signal((-2.0, dt, n)), angle)
+
+
+def assert_matches_dense(f, angle, u0, du, m, k):
+    # spectrum_on_grid against frft_eval at the indices k, relative to the
+    # peak; frft_eval takes ~2^20 kernel entries per call
+    fast = spectrum_on_grid(f, angle, u0, du, m)
+    step = max(1, 2 ** 20 // f.n)
+    slow = np.concatenate([frft_eval(f, angle, u0 + du * k[i:i + step])
+                           for i in range(0, k.size, step)])
+    assert np.max(np.abs(fast[k] - slow)) < 1e-10 * np.max(np.abs(fast))
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 3, 4.0])
+def test_riesz_stack_tiles_one_dft(alpha, bluestein_calls):
+    # a 2^-7 hat's stack (grid_count 256, kmax 64): theta = +-2 pi/32768 with
+    # n = 513 < N < m = 33024; sin(4.0) < 0 takes the inverse FFT
+    angle = as_angle(alpha)
+    phi = chirped_hat(angle, 2.0 ** -7)
+    period = abs(angle.period)
+    m = 129 * 256
+    k = np.r_[0:m:17, m - 64:m]
+    assert_matches_dense(phi, angle, -64 * period, period / 256, m, k)
+    assert not bluestein_calls
+
+
+def test_dual_inverse_folds_onto_one_dft(bluestein_calls):
+    # dual_scaling's inverse shape: a 131 584-point stack (grid_count 512,
+    # kmax 128) folded onto N = 32768, read on 1281 points of step 2^-6
+    angle = as_angle(math.pi / 3)
+    phi = chirped_hat(angle, 2.0 ** -6)
+    period = abs(angle.period)
+    u0, du = -128 * period, period / 512
+    stack = spectrum_on_grid(phi, angle, u0, du, 257 * 512)
+    spec = SampledSignal(u0, du, stack)
+    assert_matches_dense(spec, angle.negated(), -10.0, 2.0 ** -6, 1281,
+                         np.r_[0:1281:80, 600:616, 1265:1281])
+    assert not bluestein_calls
+
+
+def test_output_grid_shorter_than_the_dft(bluestein_calls):
+    # n = 1024 zero-padded to N = 1536, read on m = 1200 < N points
+    g = gaussian_signal(GRID, sigma=1.0, carrier=0.5)
+    angle = as_angle(math.pi / 3)
+    du = 2.0 * math.pi * angle.sin_alpha / (1536 * GRID[1])
+    assert_matches_dense(g, angle, -600 * du, du, 1200, np.arange(1200))
+    assert not bluestein_calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 120), m=st.integers(1, 120), data=st.data(),
+       sign=st.sampled_from([1, -1]))
+def test_chirp_sum_matches_dense_sum(n, m, data, sign):
+    # N beyond n + m - 1 takes the Bluestein path; both must give the sum
+    N = data.draw(st.integers(1, 2 * (n + m)), label="N")
+    rng = np.random.default_rng([n, m, N])
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    theta = sign * 2.0 * math.pi / N
+    want = np.exp(-1j * theta * np.outer(np.arange(m), np.arange(n))) @ x
+    got = _chirp_sum(x, theta, m)
+    assert max_abs(got, want) < 1e-10 * np.sum(np.abs(x))

@@ -107,6 +107,35 @@ def test_dual_scaling_hat_biorthogonal(alpha):
     assert rep.extras["constant"] == pytest.approx(abs(angle.period), rel=1e-3)
 
 
+@pytest.mark.parametrize("dt", [2.0 ** -6, 2.0 ** -8])
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 5.5])
+def test_dual_scaling_hat_biorthogonal_over_the_circle(alpha, dt):
+    # the dual of a copy on dt against the hat on 2^-7; a 2^-6 hat against
+    # its own dual aliases at the stack's ends (|k| = 64, the grid's period
+    # 2 pi |sin a|/dt = 64 P) and is refused as TailTooFat
+    angle = as_angle(alpha)
+    phi = chirped_hat(angle, dt=2.0 ** -7, margin=1.0)
+    dual = dual_scaling(chirped_hat(angle, dt=dt, margin=1.0), angle)
+    rep = check_biorthogonal(phi, dual, angle, tol=2e-2)
+    assert rep.overall_pass
+    assert rep.extras["constant"] == pytest.approx(abs(angle.period), rel=1e-3)
+
+
+def test_dual_workload_stacks_skip_bluestein(bluestein_calls):
+    # a 2^-7 hat against the duals of its 2^-6 and 2^-8 copies: every stacked
+    # spectrum is a periodic DFT (theta = +-2 pi/N, N <= n + m - 1) except the
+    # 2^-8 dual's own biorthogonality stack, 5121 + 33024 points against
+    # N = 65536
+    angle = as_angle(math.pi / 3)
+    phi = chirped_hat(angle, dt=2.0 ** -7, margin=1.0)
+    coarse = dual_scaling(chirped_hat(angle, dt=2.0 ** -6, margin=1.0), angle)
+    assert check_biorthogonal(phi, coarse, angle).overall_pass
+    fine = dual_scaling(chirped_hat(angle, dt=2.0 ** -8, margin=1.0), angle)
+    assert not bluestein_calls
+    assert check_biorthogonal(phi, fine, angle).overall_pass
+    assert bluestein_calls == [fine.n]
+
+
 def test_check_biorthogonal_rejects_gaussian_pair():
     g = gaussian_signal((-12.0, 2.0 ** -8, 24 * 256), sigma=1.0)
     rep = check_biorthogonal(g, g, math.pi / 2)
