@@ -349,9 +349,13 @@ def _read_rows(path, header: tuple[str, ...]) -> np.ndarray:
         raise InputError(f"{path}: non-numeric cell: {exc}") from exc
     if not data:
         raise InputError(f"{path}: no data rows")
+    for i, row in enumerate(data, start=1):
+        if len(row) != len(header):
+            raise InputError(f"{path}: data row {i} has {len(row)} cells, "
+                             f"expected {len(header)}")
     arr = np.asarray(data, dtype=np.float64)
-    if arr.shape[1] != len(header):
-        raise InputError(f"{path}: expected {len(header)} columns")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{path}: non-finite cell (nan or inf)")
     return arr
 
 

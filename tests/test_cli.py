@@ -75,6 +75,35 @@ def test_input_error_exit_code(tmp_path):
                  "--alpha", "pi/2"]) == 2
 
 
+@pytest.mark.parametrize("row", ["0.5,1", "0.5,1,0,7"], ids=["short", "long"])
+def test_ragged_csv_row_is_an_input_error(tmp_path, row, capsys):
+    src = write_gaussian(tmp_path)
+    lines = src.read_text().splitlines()
+    lines[5] = row
+    src.write_text("\n".join(lines) + "\n")
+    spec = tmp_path / "spec.csv"
+    assert main(["frft", str(src), "-o", str(spec), "--alpha", "pi/3"]) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not spec.exists()
+
+
+@pytest.mark.parametrize("column, cell", [(0, "nan"), (1, "nan"), (1, "inf"), (2, "-inf")],
+                         ids=["t-nan", "re-nan", "re-inf", "im-minus-inf"])
+def test_non_finite_csv_cell_is_an_input_error(tmp_path, column, cell, capsys):
+    # a nan abscissa passes every step comparison; a nan value gives an
+    # all-nan spectrum
+    src = write_gaussian(tmp_path)
+    lines = src.read_text().splitlines()
+    cells = lines[100].split(",")
+    cells[column] = cell
+    lines[100] = ",".join(cells)
+    src.write_text("\n".join(lines) + "\n")
+    spec = tmp_path / "spec.csv"
+    assert main(["frft", str(src), "-o", str(spec), "--alpha", "pi/3"]) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not spec.exists()
+
+
 def test_numerical_error_exit_code(tmp_path):
     src = write_gaussian(tmp_path)
     out = tmp_path / "x.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frwave import (
     RieszLowerBoundZero,
@@ -26,9 +28,16 @@ from frwave import (
     translate_expansion,
     translate_gram,
     translate_spectrum,
+    wavelet_synthesize,
 )
+from frwave.cli import _load_or_builtin_bank, _scaling_pair_for_bank
+from frwave.mra import LevelAtoms, level_atoms
+from frwave.riesz import _gram_grid
 
 from conftest import gaussian_signal, max_abs
+
+# the oracle's product, taken before any test replaces LevelAtoms.gram
+FULL_PRODUCT = LevelAtoms.gram
 
 
 def chirped_hat(alpha, dt=2.0 ** -9, margin=2.0):
@@ -197,8 +206,9 @@ def test_translate_gram_mixed_steps_matches_pointwise_oracle(mixed_step_pair):
     assert max_abs(got, want) < 1e-12 * max_abs(want)
 
 
-def test_translate_gram_off_dyadic_step_matches_dense_gram():
-    # S = 1/dt is no integer: every translate row is resampled on its own
+def test_translate_gram_off_dyadic_step_matches_dense_gram(full_products):
+    # S = 1/dt is no integer: every translate row is resampled on its own,
+    # and the Gram is the full product of both families
     angle = as_angle(math.pi / 3)
     phi = chirped_hat(angle, dt=0.003, margin=0.5)
     dual = dual_scaling(phi, angle, out_grid=(phi.t0, phi.dt, phi.n))
@@ -213,6 +223,7 @@ def test_translate_gram_off_dyadic_step_matches_dense_gram():
     w[[0, -1]] *= 0.5
     want = (atoms(phi) * w) @ np.conj(atoms(dual).T)
     got = translate_gram(phi, dual, angle, n_gram=2, grid=grid)
+    assert len(full_products) == 1
     assert max_abs(got, want) < 1e-12 * max_abs(want)
 
 
@@ -226,6 +237,109 @@ def test_translate_gram_chirp_toeplitz_identity(mixed_step_pair):
     for d in range(-8, 9):
         diag = np.diagonal(toeplitz, -d)
         assert max_abs(diag, diag[0]) < 1e-12 * max_abs(g)
+
+
+def full_gram(phi, dual, angle, n_gram, grid=None):
+    """translate_gram's sum as the full product of both translate families."""
+    span = (0, -n_gram, n_gram, grid or _gram_grid(phi, dual, n_gram))
+    return FULL_PRODUCT(level_atoms(phi, angle, *span), level_atoms(dual, angle, *span))
+
+
+@pytest.fixture
+def full_products(monkeypatch):
+    """One entry per LevelAtoms.gram product the library makes in a test."""
+    calls = []
+    monkeypatch.setattr(LevelAtoms, "gram",
+                        lambda self, other: calls.append(1) or FULL_PRODUCT(self, other))
+    return calls
+
+
+@pytest.fixture(scope="module", params=[
+    (bank, alpha) for bank in ("haar", "cdf53") for alpha in (math.pi / 2, math.pi / 3, 2.5)],
+    ids=lambda p: f"{p[0]}-{p[1]:.4f}")
+def report_pairs(request):
+    """The four generator pairs whose translate Grams a report takes."""
+    name, alpha = request.param
+    bank = _load_or_builtin_bank(name, alpha)
+    phi, phi_dual = _scaling_pair_for_bank(name, bank)
+    pair = wavelet_synthesize(bank, phi, phi_dual)
+    return pair.alpha, [(phi, phi_dual), (pair.psi, pair.psi_dual),
+                        (pair.psi, phi_dual), (pair.psi_dual, phi)]
+
+
+def test_translate_gram_lags_match_full_product_on_report_pairs(report_pairs,
+                                                                full_products):
+    angle, pairs = report_pairs
+    for phi, dual in pairs:
+        got = translate_gram(phi, dual, angle)
+        want = full_gram(phi, dual, angle, 8)
+        assert max_abs(got, want) < 1e-13 * phi.norm() * dual.norm()
+    assert not full_products
+
+
+def test_translate_gram_lags_on_either_generator(mixed_step_pair, full_products):
+    # the 2^-6 dual is off the 2^-7 Gram grid: (dual, phi) takes the lags on
+    # phi's samples and returns conj(G^T) of the (phi, dual) call
+    angle, phi, dual, _ = mixed_step_pair
+    forward = translate_gram(phi, dual, angle, n_gram=4)
+    swapped = translate_gram(dual, phi, angle, n_gram=4)
+    assert np.array_equal(swapped, np.conj(forward).T)
+    for a, b, got in ((phi, dual, forward), (dual, phi, swapped)):
+        assert max_abs(got, full_gram(a, b, angle, 4)) < 1e-13 * a.norm() * b.norm()
+    assert not full_products
+
+
+@pytest.mark.parametrize("pad, products", [(0, 1), (1, 0)], ids=["on-end-weights", "inside"])
+def test_translate_gram_lattice_needs_translates_off_the_end_weights(pad, products,
+                                                                     full_products):
+    # a Gaussian cut at +-4 keeps its end samples (3e-4); on a grid too
+    # narrow to keep its translates off the half end weights the Gram stays
+    # the full product, one more step each side takes the lags
+    angle = as_angle(math.pi / 3)
+    g = gaussian_signal((-4.0, 2.0 ** -7, 1025), alpha=angle)
+    reach = 2 * 128 + pad
+    grid = (g.t0 - reach * g.dt, g.dt, g.n + 2 * reach)
+    got = translate_gram(g, g, angle, n_gram=2, grid=grid)
+    assert len(full_products) == products
+    assert max_abs(got, full_gram(g, g, angle, 2, grid)) < 1e-13 * g.norm_sq()
+
+
+def shifted_hat(angle, dt, shift):
+    """Chirped max(0, 1 - |t - shift|) on [-2, 2] with step dt."""
+    n = int(round(4.0 / dt)) + 1
+    t = -2.0 + dt * np.arange(n)
+    hat = SampledSignal(-2.0, dt, np.maximum(0.0, 1.0 - np.abs(t - shift)))
+    return fractional_scaling(hat, angle)
+
+
+ANGLES = st.one_of(
+    st.floats(1e-4, 2.0 * math.pi - 1e-4),
+    # within 0.05 rad of 0 or pi, on either side
+    st.tuples(st.sampled_from([0.0, math.pi]), st.sampled_from([1.0, -1.0]),
+              st.floats(1e-4, 0.05)).map(lambda c: c[0] + c[1] * c[2]),
+).filter(lambda a: as_angle(a).is_regular)
+STEPS = st.sampled_from([2.0 ** -6, 2.0 ** -7, 2.0 ** -8])
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=ANGLES, n_gram=st.integers(0, 8), dt=STEPS, dt_dual=STEPS,
+       shift=st.floats(-0.5, 0.5))
+def test_translate_gram_adjoint_and_chirp_toeplitz(alpha, n_gram, dt, dt_dual, shift):
+    angle = as_angle(alpha)
+    phi = shifted_hat(angle, dt, 0.0)
+    dual = shifted_hat(angle, dt_dual, shift)
+    g = translate_gram(phi, dual, angle, n_gram)
+    scale = max_abs(g)
+    assert max_abs(g, full_gram(phi, dual, angle, n_gram)) < 1e-13 * phi.norm() * dual.norm()
+    assert max_abs(translate_gram(dual, phi, angle, n_gram), np.conj(g).T) < 1e-13 * scale
+    n = np.arange(-n_gram, n_gram + 1)[:, None]
+    toeplitz = g * np.exp(-1j * angle.cot_alpha * n * (n - n.T))
+    # phases of up to |cot| (2 n_gram)^2 rad carry that times eps of
+    # rounding: 5.7e-10 rad at alpha = 1e-4, n_gram = 8
+    phase_err = np.finfo(float).eps * abs(angle.cot_alpha) * (2 * n_gram) ** 2
+    for d in range(-2 * n_gram, 2 * n_gram + 1):
+        diag = np.diagonal(toeplitz, -d)
+        assert max_abs(diag, diag[0]) < (1e-12 + phase_err) * scale
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 3, 2.5])
