@@ -85,6 +85,17 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig.from_dict(doc)
 
 
+def _parse_fields(text: str, option: str, form: str, kinds) -> list:
+    """The colon-separated fields of an option's value, one per kind."""
+    fields = text.split(":")
+    try:
+        if len(fields) != len(kinds):
+            raise ValueError
+        return [kind(f) for kind, f in zip(kinds, fields)]
+    except ValueError:
+        raise InputError(f"{option} expects {form}, got {text!r}") from None
+
+
 def cmd_frft(args) -> int:
     angle = as_angle(parse_angle(args.alpha))
     if args.inverse:
@@ -103,11 +114,17 @@ def cmd_frft(args) -> int:
 
 
 def cmd_frwt(args) -> int:
+    lo, hi, count = _parse_fields(args.b_range, "--b-range", "lo:hi:count",
+                                  (float, float, int))
+    if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1):
+        raise InputError(f"--b-range needs finite lo, hi and count >= 1, "
+                         f"got {args.b_range!r}")
+    if not (math.isfinite(args.scale) and args.scale > 0.0):
+        raise InputError(f"--scale must be positive and finite, got {args.scale}")
     sig = read_signal_csv(args.input)
     psi = wavelets.make_mother(args.mother)
     angle = as_angle(parse_angle(args.alpha))
-    lo, hi, count = (float(x) for x in args.b_range.split(":"))
-    bs = np.linspace(lo, hi, int(count))
+    bs = np.linspace(lo, hi, count)
     rows = []
     for b in bs:
         p = wavelets.ContinuousAtomParams(angle, args.scale, float(b))
@@ -155,10 +172,12 @@ def cmd_biortho_check(args) -> int:
 
 
 def cmd_mra_filter(args) -> int:
+    nmin, nmax = _parse_fields(args.support, "--support", "nmin:nmax", (int, int))
+    if nmin > nmax:
+        raise InputError(f"--support needs nmin <= nmax, got {args.support!r}")
     cfg = _config_from_args(args)
     phi = read_signal_csv(args.input)
     phi_dual = read_signal_csv(args.dual) if args.dual else None
-    nmin, nmax = (int(x) for x in args.support.split(":"))
     h = mra.scaling_filter(phi, cfg.alpha, (nmin, nmax), phi_dual)
     if phi_dual is not None:
         hd = mra.scaling_filter(phi_dual, cfg.alpha, (nmin, nmax), phi)
@@ -246,9 +265,11 @@ def _pipeline_report(command: str, cfg: RunConfig, bank,
     add("riesz_lower_positive", bounds.lower > 1e-3, bounds.lower,
         f"upper={bounds.upper:.6g}")
 
-    bio = riesz.check_biorthogonal(phi, phi_dual, cfg.alpha, tol=tol_b,
-                                   grid_count=cfg.grid_count, kmax=cfg.kmax,
-                                   n_gram=cfg.n_gram, tail_tol=cfg.tol("tail"))
+    # the profile is kept for biortho_profile.csv
+    prof = riesz.biortho_profile(phi, phi_dual, cfg.alpha, cfg.grid_count,
+                                 cfg.kmax, tail_tol=cfg.tol("tail"))
+    bio = riesz.biortho_verdicts(
+        prof, riesz.translate_gram(phi, phi_dual, cfg.alpha, cfg.n_gram), tol_b, cfg)
     add("scaling_biortho", bio.overall_pass,
         max(v.value for v in bio.verdicts.values()),
         f"c={bio.extras['constant']:.6g}")
@@ -284,8 +305,6 @@ def _pipeline_report(command: str, cfg: RunConfig, bank,
 
     if curves:
         import csv
-        prof = riesz.biortho_profile(phi, phi_dual, cfg.alpha, cfg.grid_count,
-                                     cfg.kmax, tail_tol=cfg.tol("tail"))
         resid = mra.projection_residual_curve(batt[0], phi, phi_dual, cfg.alpha,
                                               range(0, 5), k_proj=cfg.k_proj)
         for name, xs, ys in (

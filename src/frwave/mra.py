@@ -80,9 +80,10 @@ class LevelAtoms:
     """The atoms A[j,k] phi, k = k_lo..k_hi, on one grid, in factored form.
 
     Atom k at grid point t_i is row_phase[k] * rows[k, i] * col_phase[i]:
-    rows[k, i] = phi_c(2^j t_i - k), row_phase[k] = 2^(j/2) exp(i b_k^2 cot/2)
-    with b_k = k 2^-j, and col_phase[i] = exp(-i t_i^2 cot/2). Inner
-    products use the grid's trapezoid weights.
+    rows[k, i] = phi_c(2^j t_i - k), resampled from the dechirped profile
+    phi_c = phi exp(i s^2 cot/2) on phi's own samples, row_phase[k] =
+    2^(j/2) exp(i b_k^2 cot/2) with b_k = k 2^-j, and col_phase[i] =
+    exp(-i t_i^2 cot/2). Inner products use the grid's trapezoid weights.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -117,9 +118,12 @@ def level_atoms(phi: SampledSignal, alpha, j: int, k_lo: int, k_hi: int,
                 grid: tuple[float, float, int]) -> LevelAtoms:
     """A[j,k] phi for k = k_lo..k_hi sampled on the grid (t0, dt, count).
 
-    Row k samples phi on the grid 2^j t - k. When neighbouring rows are a
-    whole number S = 1/(2^j dt) of grid steps apart (within 1e-12), they
-    are windows of one union grid, resampled and dechirped once, read at
+    phi is dechirped once on its own samples, phi_c = phi exp(i s^2 cot/2),
+    and row k resamples phi_c on the grid 2^j t - k: the resampler sees the
+    smooth classical profile, not a chirp that is undersampled near alpha
+    = 0 or pi, and no grid point pays a chirp of its own. When neighbouring
+    rows are a whole number S = 1/(2^j dt) of grid steps apart (within
+    1e-12), they are windows of one union grid, resampled once, read at
     offsets (k_hi - k) S without a copy; that needs S <= count, or the union
     would be mostly gaps between the windows. Otherwise each row is
     resampled on its own grid.
@@ -130,19 +134,16 @@ def level_atoms(phi: SampledSignal, alpha, j: int, k_lo: int, k_hi: int,
     scale = 2.0 ** j
     step = scale * dt
     ks = np.arange(k_lo, k_hi + 1)
+    phi_c = chirp_modulate(phi, angle, 1)
     stride = round(1.0 / step)
     if 1 <= stride <= count and abs(1.0 / step - stride) <= 1e-12:
         # row k is the window that starts (k_hi - k) strides into the union
-        start = scale * t0 - k_hi
         length = count + (ks.size - 1) * stride
-        s = start + step * np.arange(length)
-        union = resample(phi, (start, step, length)).values * np.exp(
-            1j * half_cot * s * s)
+        union = resample(phi_c, (scale * t0 - k_hi, step, length)).values
         rows = sliding_window_view(union, count)[::stride][::-1]
     else:
-        s = (scale * t0 - ks[:, None]) + step * np.arange(count)
-        rows = np.stack([resample(phi, (s_k[0], step, count)).values
-                         for s_k in s]) * np.exp(1j * half_cot * s * s)
+        rows = np.stack([resample(phi_c, (scale * t0 - k, step, count)).values
+                         for k in ks])
     b = ks / scale
     t = t0 + dt * np.arange(count)
     return LevelAtoms(rows, (2.0 ** (j / 2.0)) * np.exp(1j * half_cot * b * b),

@@ -268,22 +268,27 @@ def check_biorthogonal(phi: SampledSignal, phi_dual: SampledSignal, alpha,
     """
     angle = as_angle(alpha).require_regular()
     profile = biortho_profile(phi, phi_dual, angle, grid_count, kmax, tail_tol)
+    gram = translate_gram(phi, phi_dual, angle, n_gram)
+    config = RunConfig(alpha=angle.alpha, kmax=kmax, grid_count=grid_count,
+                       n_gram=n_gram, tolerances={"biortho": tol, "tail": tail_tol})
+    return biortho_verdicts(profile, gram, tol, config)
+
+
+def biortho_verdicts(profile: PeriodicProfile, gram: np.ndarray, tol: float,
+                     config: RunConfig) -> AnalysisReport:
+    """check_biorthogonal's verdicts from the profile L(u) and the translate
+    Gram, for a caller that keeps the profile."""
     mean = profile.mean()
     spectral_dev = float(np.max(np.abs(profile.values - mean)))
     spectral_ok = abs(mean) > TAU_POS and spectral_dev <= tol * abs(mean)
 
-    gram = translate_gram(phi, phi_dual, angle, n_gram)
     diag = np.diag(gram)
     c = complex(np.mean(diag))
     off = gram - c * np.eye(gram.shape[0])
     gram_dev = float(np.max(np.abs(off)))
     gram_ok = abs(c) > TAU_POS and gram_dev <= tol * abs(c)
 
-    report = AnalysisReport(
-        "check_biorthogonal",
-        RunConfig(alpha=angle.alpha, kmax=kmax, grid_count=grid_count,
-                  n_gram=n_gram, tolerances={"biortho": tol, "tail": tail_tol}),
-    )
+    report = AnalysisReport("check_biorthogonal", config)
     report.add("spectral_constancy", spectral_ok,
                spectral_dev / abs(mean) if abs(mean) > TAU_POS else math.inf,
                f"mean L = {mean:.6g}")
@@ -291,7 +296,7 @@ def check_biorthogonal(phi: SampledSignal, phi_dual: SampledSignal, alpha,
                gram_dev / abs(c) if abs(c) > TAU_POS else math.inf,
                f"c = {c:.6g}")
     report.extras["constant"] = c.real
-    report.extras["constant_spectral"] = (mean * abs(angle.period)).real
+    report.extras["constant_spectral"] = (mean * profile.period).real
     report.extras["tail"] = profile.tail
     return report
 

@@ -174,6 +174,23 @@ def test_mra_filter_emits_loadable_bank(tmp_path):
     assert abs(bank.h.tap(1)) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-3)
 
 
+@pytest.mark.parametrize("command, option", [
+    ("mra-filter", "--support=-8"), ("mra-filter", "--support=a:b"),
+    ("mra-filter", "--support=3:-3"), ("frwt", "--b-range=0:1"),
+    ("frwt", "--b-range=0:1:x"), ("frwt", "--b-range=0:1:-3"),
+    ("frwt", "--b-range=0:1:0"), ("frwt", "--scale=0"), ("frwt", "--scale=-1"),
+    ("frwt", "--scale=nan"),
+], ids=lambda v: v.lstrip("-"))
+def test_bad_range_or_scale_is_an_input_error(tmp_path, command, option, capsys):
+    # exit 1 means a failed criterion and 0 a pass: a malformed, empty or
+    # non-finite argument is neither
+    src = write_gaussian(tmp_path)
+    out = tmp_path / "out"
+    assert main([command, str(src), "-o", str(out), option, "--alpha", "pi/3"]) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wavelet_build_outputs(tmp_path):
     out = tmp_path / "build"
     assert main(["wavelet-build", "haar", "--out-dir", str(out),
@@ -190,6 +207,23 @@ def test_frame_bounds_cli(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["duality_ok"] is True
     assert 0.8 < doc["A"] <= doc["B"] < 1.2
+
+
+@pytest.mark.parametrize("bank", ["haar", "cdf53"])
+def test_report_takes_each_biortho_profile_once(tmp_path, bank, monkeypatch):
+    # biortho_profile.csv is the profile the scaling verdict judged, not a
+    # second stack of the same generators
+    from frwave import riesz
+    pairs = []
+    real = riesz.biortho_profile
+
+    def spy(phi, phi_dual, *args, **kwargs):
+        pairs.append((id(phi), id(phi_dual)))
+        return real(phi, phi_dual, *args, **kwargs)
+
+    monkeypatch.setattr(riesz, "biortho_profile", spy)
+    assert main(["report", bank, "--alpha", "pi/3", "--out-dir", str(tmp_path)]) == 0
+    assert len(pairs) == 2 and len(set(pairs)) == 2
 
 
 def test_report_cdf53(tmp_path):

@@ -33,6 +33,7 @@ from frwave import (
     two_scale_defect,
     two_scale_spectral_defect,
 )
+from frwave import mra
 from frwave.riesz import translate_atom
 
 from conftest import gaussian_signal, max_abs
@@ -50,13 +51,15 @@ def test_level_zero_atom_is_chirped_translate():
 
 
 def per_atom(phi, angle, j, k, grid):
-    """A[j,k] phi by its defining formula: one sample_at and one exp."""
+    """A[j,k] phi by its defining formula, 2^(j/2) phi_c(s) e^{-i cot (t^2 - b^2)/2}
+    with s = 2^j t - k, b = k 2^-j: one sample_at of the dechirped samples
+    phi_c = phi e^{i s^2 cot/2} and one exp."""
     t0, dt, count = grid
     t = t0 + dt * np.arange(count)
     s = (2.0 ** j) * t - k
     b = k * 2.0 ** (-j)
-    return (2.0 ** (j / 2.0)) * sample_at(phi, s) * np.exp(
-        -1j * (angle.cot_alpha / 2.0) * (t * t - b * b - s * s))
+    return (2.0 ** (j / 2.0)) * sample_at(chirp_modulate(phi, angle, 1), s) * np.exp(
+        -1j * (angle.cot_alpha / 2.0) * (t * t - b * b))
 
 
 # profile step, grid, and whether the rows are windows of one union grid
@@ -78,6 +81,50 @@ def test_level_atoms_match_per_atom_formula(case, j):
     assert atoms.rows.flags.owndata is not windows
     want = np.stack([per_atom(phi, angle, j, k, grid) for k in range(-2, 3)])
     assert max_abs(atoms.values(), want) < 1e-13 * max_abs(want)
+
+
+@pytest.mark.parametrize("j", [-1, 0, 1])
+@pytest.mark.parametrize("alpha", [math.pi / 3, 0.05, 0.01, 0.005])
+def test_level_atoms_of_a_hat_match_the_closed_form(alpha, j):
+    # a chirped hat on 2^-6 read on a 2^-8 grid: every row is between its
+    # samples. Resampling the dechirped hat leaves the sinc error of the hat's
+    # kinks (2.96e-3 of the peak at j = -1, the same at every angle);
+    # resampling the chirp itself lost 2.87e-2 at alpha = 0.005.
+    angle = as_angle(alpha)
+    phi = fractional_scaling(hat_signal((-2.0, 2.0 ** -6, 4 * 64 + 1)), angle)
+    grid = (-8.0, 2.0 ** -8, 16 * 256 + 1)
+    t = grid[0] + grid[1] * np.arange(grid[2])
+    ks = np.arange(-2, 3)[:, None]
+    s = (2.0 ** j) * t - ks
+    b = ks * 2.0 ** (-j)
+    want = (2.0 ** (j / 2.0)) * np.maximum(0.0, 1.0 - np.abs(s)) * np.exp(
+        -0.5j * angle.cot_alpha * (t * t - b * b))
+    got = level_atoms(phi, angle, j, -2, 2, grid).values()
+    assert max_abs(got, want) <= 3.0e-3 * max_abs(want)
+
+
+@pytest.mark.parametrize("grid", [(-4.0, 2.0 ** -8, 2049), (-3.0, 0.003, 2001)],
+                         ids=["union", "per-row"])
+def test_level_atoms_dechirps_only_the_generators_own_samples(grid, monkeypatch):
+    # phi_c = phi e^{i s^2 cot/2} is formed once on phi's samples and every
+    # row is resampled from it; the only other exps are the row and column
+    # phases, one per atom and one per grid point
+    angle = as_angle(math.pi / 3)
+    phi, _, _ = cdf53_system(angle, dt=2.0 ** -6)
+    phi_c = chirp_modulate(phi, angle, 1)
+    real_exp, real_resample = np.exp, mra.resample
+    exp_sizes, sources = [], []
+    monkeypatch.setattr(np, "exp", lambda x: exp_sizes.append(np.size(x)) or real_exp(x))
+    monkeypatch.setattr(mra, "resample",
+                        lambda sig, g: sources.append(sig) or real_resample(sig, g))
+    for j in (-1, 0, 1):
+        exp_sizes.clear()
+        sources.clear()
+        level_atoms(phi, angle, j, -2, 2, grid)
+        assert sorted(exp_sizes) == sorted([phi.n, 5, grid[2]])
+        assert sources and all(src is sources[0] for src in sources)
+        assert (sources[0].t0, sources[0].dt) == (phi.t0, phi.dt)
+        assert np.array_equal(sources[0].values, phi_c.values)
 
 
 def test_project_matches_per_atom_oracle():
