@@ -32,38 +32,28 @@ from .frft import (
     frft_eval,
     inverse_frft,
     kernel_constant,
-    kernel_eval,
     parseval_defect,
     spectrum_on_grid,
 )
 from .wavelets import (
     ContinuousAtomParams,
-    DiscreteAtomIndex,
-    FrameSumReport,
     MotherWavelet,
     admissibility_constant,
     admissibility_refinement,
     atom_continuous,
-    atom_discrete,
     battery,
-    frame_sum,
     frwt_continuous,
     make_mother,
 )
 from .riesz import (
     PeriodicProfile,
     RieszBounds,
-    SequenceSpectrum,
     biortho_profile,
     check_biorthogonal,
     dual_scaling,
     periodization_gram,
     riesz_bounds,
-    sequence_spectrum_eval,
-    translate_atom,
-    translate_expansion,
     translate_gram,
-    translate_spectrum,
 )
 from .mra import (
     LevelAtoms,
@@ -72,19 +62,16 @@ from .mra import (
     auxiliary_function,
     level_atom,
     level_atoms,
-    operator_norm_estimate,
     project,
     projection_residual_curve,
     refine_cascade,
     scaling_filter,
     two_scale_apply,
     two_scale_defect,
-    two_scale_spectral_defect,
 )
 from .banks import (
     cdf53_system,
     cdf53_taps,
-    fractional_scaling,
     fractional_taps,
     haar_system,
     haar_taps,

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .frft import spectrum_on_grid
-from .grids import Angle, SampledSignal, as_angle, box_signal
+from .frft import chirp_modulate, spectrum_on_grid
+from .grids import SampledSignal, as_angle, box_signal
 from .mra import ScalingFilter, tap_symbol
 
 SQ2 = math.sqrt(2.0)
@@ -46,15 +46,6 @@ def fractional_taps(taps: np.ndarray, offset: int, alpha) -> ScalingFilter:
     phased = np.asarray(taps, dtype=np.complex128) * np.exp(
         -1j * (angle.cot_alpha / 8.0) * n.astype(float) ** 2)
     return ScalingFilter(phased, offset, angle)
-
-
-def fractional_scaling(classical: SampledSignal, alpha) -> SampledSignal:
-    """Chirp a classical generator onto the angle: phi_c -> phi_c e^{-it^2 cot/2}."""
-    angle = as_angle(alpha).require_regular()
-    t = classical.grid
-    return SampledSignal(
-        classical.t0, classical.dt,
-        classical.values * np.exp(-1j * (angle.cot_alpha / 2.0) * t * t))
 
 
 def hat_signal(grid: tuple[float, float, int]) -> SampledSignal:
@@ -89,7 +80,7 @@ def spectral_scaling(taps: np.ndarray, offset: int, alpha,
         hat *= tap_symbol(coef, offset, w / 2.0 ** j)
     vals = spectrum_on_grid(SampledSignal(w[0], dw, hat), -math.pi / 2.0, t0, dt, count)
     classical = SampledSignal(t0, dt, vals / math.sqrt(2.0 * math.pi))
-    return fractional_scaling(classical, angle)
+    return chirp_modulate(classical, angle, -1)
 
 
 def spectral_scaling_from_filter(h: ScalingFilter,
@@ -113,7 +104,7 @@ def haar_system(alpha, dt: float = 2.0 ** -10,
     n = int(round((1.0 + 2.0 * margin) / dt)) + 1
     phi_c = box_signal((-margin, dt, n))
     taps, off = haar_taps()
-    return fractional_scaling(phi_c, angle), fractional_taps(taps, off, angle)
+    return chirp_modulate(phi_c, angle, -1), fractional_taps(taps, off, angle)
 
 
 def cdf53_system(alpha, dt: float = 2.0 ** -10, margin: float = 1.0,
@@ -123,6 +114,6 @@ def cdf53_system(alpha, dt: float = 2.0 ** -10, margin: float = 1.0,
     n = int(round((2.0 + 2.0 * margin) / dt)) + 1
     phi_c = hat_signal((-1.0 - margin, dt, n))
     h, off, hd, offd = cdf53_taps()
-    return (fractional_scaling(phi_c, angle),
+    return (chirp_modulate(phi_c, angle, -1),
             fractional_taps(h, off, angle),
             fractional_taps(hd, offd, angle))

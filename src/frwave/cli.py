@@ -39,15 +39,19 @@ def parse_angle(text: str) -> float:
     """Accepts 'pi/2', '2pi/3', '2pi', '-pi/4', or a decimal in radians."""
     s = text.strip().replace(" ", "").lower()
     m = _PI_RE.match(s)
-    if m:
-        sign = -1.0 if m.group(1) else 1.0
-        num = float(m.group(2)) if m.group(2) else 1.0
-        den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
     try:
-        return float(s)
-    except ValueError as exc:
+        if m:
+            sign = -1.0 if m.group(1) else 1.0
+            num = float(m.group(2)) if m.group(2) else 1.0
+            den = float(m.group(3)) if m.group(3) else 1.0
+            value = sign * num * math.pi / den
+        else:
+            value = float(s)
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse angle {text!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def _write_json(path: Path, text: str) -> None:

@@ -42,14 +42,6 @@ def kernel_constant(angle: Angle) -> complex:
     return cmath.sqrt((1.0 - 1j * angle.cot_alpha) / (2.0 * math.pi))
 
 
-def kernel_eval(angle: Angle, t: float, xi: float) -> complex:
-    """Pointwise kernel value K(t, xi); symmetric in t and xi."""
-    angle = as_angle(angle).require_regular()
-    c = kernel_constant(angle)
-    phase = (t * t + xi * xi) * angle.cot_alpha / 2.0 - t * xi * angle.csc_alpha
-    return c * cmath.exp(1j * phase)
-
-
 @dataclass(frozen=True)
 class FrFTPlan:
     """One transform configuration: the angle and the output grid.

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyBattery, NonConvergent, SupportTooSmall
-from .frft import chirp_modulate, spectrum_on_grid
+from .errors import NonConvergent, SupportTooSmall
+from .frft import chirp_modulate
 from .grids import Angle, SampledSignal, as_angle, box_signal, resample, trap_weights
 
 TAU_TAP = 1e-6
@@ -207,22 +207,6 @@ def two_scale_defect(phi: SampledSignal, h: ScalingFilter) -> float:
     return float(np.max(np.abs(phi.values - recon.values)))
 
 
-def two_scale_spectral_defect(phi: SampledSignal, h: ScalingFilter,
-                              u_max: float | None = None,
-                              count: int = 512) -> float:
-    """max_u |Theta(u) - e^{i 3u^2 cot/8} Lambda(u/2) Theta(u/2)|."""
-    angle = h.alpha
-    if u_max is None:
-        u_max = abs(angle.period)
-    du = 2.0 * u_max / count
-    u = -u_max + du * np.arange(count + 1)
-    theta_u = spectrum_on_grid(phi, angle, u[0], du, u.size)
-    theta_half = spectrum_on_grid(phi, angle, u[0] / 2.0, du / 2.0, u.size)
-    lam = auxiliary_function(h, u / 2.0)
-    chirp = np.exp(1j * (3.0 * angle.cot_alpha / 8.0) * u * u)
-    return float(np.max(np.abs(theta_u - chirp * lam * theta_half)))
-
-
 def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
                    iterations: int = 40,
                    start: SampledSignal | None = None,
@@ -275,18 +259,3 @@ def projection_residual_curve(f: SampledSignal, phi: SampledSignal,
         pf = project(f, MRALevel(int(j), phi, phi_dual, angle), k_proj)
         out.append(pf.minus(f).norm())
     return out
-
-
-def operator_norm_estimate(phi: SampledSignal, phi_dual: SampledSignal, alpha,
-                           battery, j_range: tuple[int, int] = (-2, 4),
-                           k_proj: int = 64) -> float:
-    """max over the battery and levels of ||P_j f|| / ||f||."""
-    angle = as_angle(alpha).require_regular()
-    if not battery:
-        raise EmptyBattery("operator norm estimate needs a nonempty battery")
-    worst = 0.0
-    for f in battery:
-        for j in range(j_range[0], j_range[1] + 1):
-            pf = project(f, MRALevel(j, phi, phi_dual, angle), k_proj)
-            worst = max(worst, pf.norm() / f.norm())
-    return worst

@@ -15,6 +15,10 @@ DEFAULT_TOLERANCES = {
     "tail": 5e-2,
 }
 
+# the least value each int field of RunConfig takes
+_INT_LEAST = {"kmax": 1, "grid_count": 1, "n_gram": 0, "k_proj": 0,
+              "seed": 0, "battery_size": 1}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -28,6 +32,12 @@ class RunConfig:
     battery_size: int = 20
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise InputError(f"alpha must be finite, got {self.alpha!r}")
+        for name, least in _INT_LEAST.items():
+            val = getattr(self, name)
+            if not (isinstance(val, int) and val >= least):
+                raise InputError(f"{name} must be an integer >= {least}, got {val!r}")
         for name, val in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise InputError(f"unknown tolerance {name!r}; known: "
@@ -49,7 +59,8 @@ class RunConfig:
 
         Absent tolerances keep their defaults too. An unknown key is refused.
         """
-        casts = {f.name: {"float": float, "int": int, "dict": dict}[f.type]
+        # int fields are taken as given: int() would read 1.5 as 1
+        casts = {f.name: {"float": float, "dict": dict}.get(f.type, lambda v: v)
                  for f in fields(cls)}
         unknown = sorted(set(d) - set(casts))
         if unknown:

@@ -4,9 +4,10 @@ Everything here analyzes the chirp-carried translate family
 
     phi_n(t) = phi(t - n) * exp(-i n (t - n) cot(alpha)),
 
-whose transform at angle alpha is exp(i n^2 cot(alpha)/2 - i n u csc(alpha))
-times the transform of phi. Consequently every translate question becomes a
-statement about profiles with period 2*pi*sin(alpha) in the transform domain:
+the level-0 atoms A[0,n] phi of mra.level_atoms, whose transform at angle
+alpha is exp(i n^2 cot(alpha)/2 - i n u csc(alpha)) times the transform of
+phi. Consequently every translate question becomes a statement about
+profiles with period 2*pi*sin(alpha) in the transform domain:
 
     G^2(u) = 2 pi sin(alpha) * sum_k |Theta(u + k P)|^2      (Gram/Riesz)
     L(u)   = sum_k Theta(u + k P) conj(Theta_dual(u + k P))  (biorthogonality)
@@ -24,14 +25,8 @@ import numpy as np
 
 from .errors import NotRealProfile, RieszLowerBoundZero, TailTooFat
 from .frft import chirp_modulate, spectrum_on_grid
-from .grids import (
-    HIT_TOL,
-    Angle,
-    SampledSignal,
-    SpectrumSamples,
-    as_angle,
-)
-from .mra import level_atom, level_atoms, tap_symbol
+from .grids import HIT_TOL, Angle, SampledSignal, as_angle
+from .mra import level_atoms
 from .report import AnalysisReport, RunConfig
 
 TAU_POS = 1e-6      # smallest periodization value we will divide by
@@ -81,52 +76,6 @@ class RieszBounds:
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper):
             raise ValueError("need 0 <= lower <= upper")
-
-
-@dataclass(frozen=True)
-class SequenceSpectrum:
-    """Finitely supported sequence c[n], n = offset..offset+len-1, with angle."""
-
-    coefficients: np.ndarray = field(repr=False)
-    offset: int
-    alpha: Angle
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d array")
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.offset + np.arange(self.coefficients.size)
-
-
-def sequence_spectrum_eval(c: SequenceSpectrum, u) -> np.ndarray:
-    """Sequence symbol sum_n c[n] exp(i n^2 cot(a)/2 - i n u csc(a))."""
-    angle = as_angle(c.alpha).require_regular()
-    n = c.indices
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    phase = np.exp(1j * (angle.cot_alpha / 2.0) * n * n)
-    out = tap_symbol(c.coefficients * phase, c.offset, angle.csc_alpha * u)
-    return out if out.size > 1 else complex(out[0])
-
-
-def translate_spectrum(Theta: SpectrumSamples, n: int) -> SpectrumSamples:
-    """Transform-domain action of the chirp-carried translate by n."""
-    angle = Theta.alpha.require_regular()
-    u = Theta.grid
-    mod = np.exp(1j * (n * n * angle.cot_alpha / 2.0) - 1j * n * angle.csc_alpha * u)
-    return SpectrumSamples(Theta.u0, Theta.du, mod * Theta.values, angle)
-
-
-def translate_atom(phi: SampledSignal, alpha, n: int,
-                   grid: tuple[float, float, int]) -> SampledSignal:
-    """phi(t-n) exp(-i n (t-n) cot(alpha)) sampled on the requested grid.
-
-    This is the level-0 atom A[0,n] phi.
-    """
-    return level_atom(phi, alpha, 0, n, grid)
 
 
 def _stacked_spectrum(phi: SampledSignal, angle: Angle, grid_count: int,
@@ -329,21 +278,3 @@ def dual_scaling(phi: SampledSignal, alpha, grid_count: int = 512,
     vals = spectrum_on_grid(spec_signal, angle.negated(),
                             out_grid[0], out_grid[1], out_grid[2])
     return SampledSignal(out_grid[0], out_grid[1], vals)
-
-
-def translate_expansion(f: SampledSignal, phi: SampledSignal,
-                        phi_dual: SampledSignal, alpha,
-                        N: int) -> tuple[SequenceSpectrum, float]:
-    """Analysis against dual translates, synthesis with primal translates.
-
-    a[n] = <f, dual translate n> for |n| <= N; the synthesis uses a[n]/c with
-    c the measured diagonal Gram constant, so a biorthogonal (not
-    biorthonormal) pair still reconstructs. Returns (a, residual L2 norm).
-    """
-    angle = as_angle(alpha).require_regular()
-    span = (0, -N, N, (f.t0, f.dt, f.n))
-    a = level_atoms(phi_dual, angle, *span).analyze(f.values)
-    c = translate_gram(phi, phi_dual, angle, 0)[0, 0]
-    recon = level_atoms(phi, angle, *span).synthesize(a / c)
-    residual = SampledSignal(f.t0, f.dt, f.values - recon).norm()
-    return SequenceSpectrum(a, -N, angle), residual

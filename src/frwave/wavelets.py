@@ -1,11 +1,12 @@
-"""Fractional wavelet atoms, the continuous transform, admissibility, frames.
+"""Fractional wavelet atoms, the continuous transform, admissibility, batteries.
 
 Atom conventions in this module:
 
     continuous:  (1/sqrt(a)) psi((t-b)/a) exp(-i (t^2 - b^2) cot(alpha)/2)
     dyadic:      2^(j/2) psi(2^j t - k) exp(-i (t^2 - (k 2^-j)^2) cot(alpha)/2)
 
-so the dyadic family is the continuous one at a = 2^-j, b = k 2^-j.
+so the dyadic family, which mra.level_atoms builds from the chirped mother
+chirp_modulate(psi, alpha, -1), is the continuous one at a = 2^-j, b = k 2^-j.
 Mother wavelets are sampled; off-grid values come from band-limited
 interpolation (grid hits are read off exactly, which covers every dyadic
 scale/shift combination used by the built-in grids).
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBattery, GridCoverage
-from .frft import spectrum_on_grid
+from .frft import chirp_modulate, spectrum_on_grid
 from .grids import Angle, SampledSignal, as_angle, box_signal, resample
 
 COVERAGE_TOL = 1e-3   # fraction of atom mass allowed to fall off-grid
@@ -46,21 +47,6 @@ class ContinuousAtomParams:
     def __post_init__(self):
         if self.a <= 0.0:
             raise ValueError("scale a must be positive")
-
-
-@dataclass(frozen=True)
-class DiscreteAtomIndex:
-    j: int
-    k: int
-
-
-@dataclass(frozen=True)
-class FrameSumReport:
-    sum: float
-    norm_sq: float
-    ratio: float
-    j_range: tuple[int, int]
-    k_range: tuple[int, int]
 
 
 _MOTHER_CACHE: dict = {}
@@ -145,29 +131,21 @@ def atom_continuous(psi: MotherWavelet, p: ContinuousAtomParams,
     return atom
 
 
-def atom_discrete(psi: MotherWavelet, alpha, idx: DiscreteAtomIndex,
-                  grid: tuple[float, float, int]) -> SampledSignal:
-    """Dyadic atom (a0=2, b0=1): the continuous atom at a=2^-j, b=k 2^-j."""
-    p = ContinuousAtomParams(as_angle(alpha), 2.0 ** (-idx.j), idx.k * 2.0 ** (-idx.j))
-    return atom_continuous(psi, p, grid)
-
-
 def admissibility_constant(psi: MotherWavelet, alpha, u_max: float = 32.0,
                            n: int = 8192, xi_min: float | None = None) -> float:
-    """Integral of |F_alpha{dechirped psi}(xi)|^2 / |xi| over |xi| in [xi_min, u_max]."""
-    spectrum = _dechirped_spectrum(psi, alpha, u_max, n)
-    xi, vals, du = spectrum
+    """Integral of |F_alpha{dechirped psi}(xi)|^2 / |xi| over |xi| in [xi_min, u_max].
+
+    xi_min defaults to the spectrum's grid step 2 u_max / (n - 1).
+    """
     if xi_min is None:
-        xi_min = du
-    keep = np.abs(xi) >= xi_min
-    integrand = np.abs(vals[keep]) ** 2 / np.abs(xi[keep])
-    return float(np.trapezoid(integrand, xi[keep]))
+        xi_min = 2.0 * u_max / (n - 1)
+    return admissibility_refinement(psi, alpha, [xi_min], u_max, n)[0]
 
 
 def admissibility_refinement(psi: MotherWavelet, alpha, xi_mins,
                              u_max: float = 32.0, n: int = 32768) -> list[float]:
     """Constant under shrinking singularity exclusion; growth flags non-admissibility."""
-    xi, vals, _ = _dechirped_spectrum(psi, alpha, u_max, n)
+    xi, vals = _dechirped_spectrum(psi, alpha, u_max, n)
     out = []
     for xi_min in xi_mins:
         keep = np.abs(xi) >= xi_min
@@ -178,13 +156,9 @@ def admissibility_refinement(psi: MotherWavelet, alpha, xi_mins,
 
 def _dechirped_spectrum(psi: MotherWavelet, alpha, u_max: float, n: int):
     angle = as_angle(alpha).require_regular()
-    sig = psi.signal
-    t = sig.grid
-    dechirped = SampledSignal(
-        sig.t0, sig.dt, sig.values * np.exp(-1j * (angle.cot_alpha / 2.0) * t * t))
     du = 2.0 * u_max / (n - 1)
-    vals = spectrum_on_grid(dechirped, angle, -u_max, du, n)
-    return -u_max + du * np.arange(n), vals, du
+    vals = spectrum_on_grid(chirp_modulate(psi.signal, angle, -1), angle, -u_max, du, n)
+    return -u_max + du * np.arange(n), vals
 
 
 def frwt_continuous(f: SampledSignal, psi: MotherWavelet,
@@ -192,29 +166,6 @@ def frwt_continuous(f: SampledSignal, psi: MotherWavelet,
     """Continuous fractional wavelet coefficient <f, psi_(alpha,a,b)>."""
     atom = atom_continuous(psi, p, (f.t0, f.dt, f.n))
     return f.inner(atom)
-
-
-def frame_sum(f: SampledSignal, psi: MotherWavelet, alpha,
-              j_range: tuple[int, int], k_range: tuple[int, int]) -> FrameSumReport:
-    """Sum of |<f, psi_(alpha,j,k)>|^2 over inclusive index ranges.
-
-    Wide shared k-ranges put coarse-scale atoms outside the sampled window;
-    those atoms carry no mass on f's grid and are skipped rather than raising.
-    """
-    angle = as_angle(alpha).require_regular()
-    grid = (f.t0, f.dt, f.n)
-    terms = []
-    for j in range(j_range[0], j_range[1] + 1):
-        for k in range(k_range[0], k_range[1] + 1):
-            try:
-                atom = atom_discrete(psi, angle, DiscreteAtomIndex(j, k), grid)
-            except GridCoverage:
-                continue
-            terms.append(abs(f.inner(atom)) ** 2)
-    total = math.fsum(terms)
-    nsq = f.norm_sq()
-    ratio = total / nsq if nsq > 0 else 0.0
-    return FrameSumReport(total, nsq, ratio, j_range, k_range)
 
 
 def battery(seed: int, size: int, grid: tuple[float, float, int],
@@ -240,10 +191,8 @@ def battery(seed: int, size: int, grid: tuple[float, float, int],
     out = []
     for _ in range(size):
         coef = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)
-        vals = (np.exp(1j * np.outer(t, freqs)) @ coef) * window
+        sig = SampledSignal(t0, dt, (np.exp(1j * np.outer(t, freqs)) @ coef) * window)
         if alpha is not None:
-            angle = as_angle(alpha).require_regular()
-            vals = vals * np.exp(-1j * (angle.cot_alpha / 2.0) * t * t)
-        sig = SampledSignal(t0, dt, vals)
+            sig = chirp_modulate(sig, alpha, -1)
         out.append(sig.scaled(1.0 / sig.norm()))
     return out

@@ -26,17 +26,18 @@ from frwave import (
     biortho_profile,
     cdf53_system,
     check_biorthogonal,
+    chirp_modulate,
     cross_level_orthogonality,
     cross_orthogonality_check,
     dual_scaling,
     expand_reconstruct,
-    fractional_scaling,
     frft,
     frft_eval,
     frwt_continuous,
     haar_system,
     hat_signal,
     inverse_frft,
+    level_atom,
     level_split_defect,
     make_bank,
     make_mother,
@@ -47,7 +48,6 @@ from frwave import (
     riesz_bounds,
     riesz_frame_bounds,
     scaling_filter,
-    translate_atom,
     two_scale_defect,
     wavelet_biortho_check,
     wavelet_synthesize,
@@ -162,7 +162,7 @@ def test_criterion_3_atoms_and_continuous_transform():
 
 def chirped_hat(alpha, dt=2.0 ** -9, margin=2.0):
     n = int(round((2.0 + 2.0 * margin) / dt)) + 1
-    return fractional_scaling(hat_signal((-1.0 - margin, dt, n)), alpha)
+    return chirp_modulate(hat_signal((-1.0 - margin, dt, n)), alpha, -1)
 
 
 def test_criterion_4_biortho_verdict_battery():
@@ -214,7 +214,7 @@ def test_criterion_6_riesz_sandwich_haar():
         assert 0.95 * const <= b.lower <= b.upper <= 1.05 * const
 
         grid = (-12.0, 2.0 ** -7, 3072)
-        atoms = [translate_atom(phi, ang, n, grid) for n in range(-4, 5)]
+        atoms = [level_atom(phi, ang, 0, n, grid) for n in range(-4, 5)]
         rng = np.random.default_rng(2026)
         for _ in range(20):
             coefs = rng.standard_normal(9) + 1j * rng.standard_normal(9)

@@ -277,6 +277,26 @@ def test_unknown_settings_are_refused(tmp_path, setting, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", [
+    {"kmax": 0}, {"grid_count": 0}, {"battery_size": 0}, {"n_gram": -1},
+    {"k_proj": -3}, {"kmax": 1.5},
+    ["--seed", "-1"], ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "pi/0"],
+], ids=["kmax=0", "grid_count=0", "battery_size=0", "n_gram=-1", "k_proj=-3",
+        "kmax=1.5", "seed=-1", "alpha=nan", "alpha=inf", "alpha=pi/0"])
+def test_out_of_range_settings_are_input_errors(tmp_path, setting, capsys):
+    # exit 1 means a criterion failed: a setting no run can use is exit 2,
+    # and a non-integral count is refused, not truncated
+    out = tmp_path / "rep"
+    argv = ["report", "haar", "--out-dir", str(out)]
+    if isinstance(setting, dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": math.pi / 3, **setting}))
+        setting = ["--config", str(cfg)]
+    assert main(argv + setting) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_alpha_as_separate_token(tmp_path):
     # argparse alone takes `-pi/3` after --alpha for an option and exits 2
     out = tmp_path / "rep"

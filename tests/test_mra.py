@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from frwave import (
-    EmptyBattery,
     MRALevel,
     NonConvergent,
     SampledSignal,
@@ -12,29 +11,25 @@ from frwave import (
     SupportTooSmall,
     as_angle,
     auxiliary_function,
-    battery,
     box_signal,
     cdf53_system,
     cdf53_taps,
     chirp_modulate,
-    fractional_scaling,
     fractional_taps,
     haar_system,
     hat_signal,
     level_atom,
     level_atoms,
-    operator_norm_estimate,
     project,
     projection_residual_curve,
     refine_cascade,
     sample_at,
     scaling_filter,
+    spectrum_on_grid,
     two_scale_apply,
     two_scale_defect,
-    two_scale_spectral_defect,
 )
 from frwave import mra
-from frwave.riesz import translate_atom
 
 from conftest import gaussian_signal, max_abs
 
@@ -47,7 +42,6 @@ def test_level_zero_atom_is_chirped_translate():
     a = level_atom(phi, angle, 0, 3, grid)
     b = sample_at(phi, t - 3) * np.exp(-3j * (t - 3) * angle.cot_alpha)
     assert max_abs(a.values, b) < 1e-12
-    assert max_abs(translate_atom(phi, angle, 3, grid).values, b) < 1e-12
 
 
 def per_atom(phi, angle, j, k, grid):
@@ -91,7 +85,7 @@ def test_level_atoms_of_a_hat_match_the_closed_form(alpha, j):
     # kinks (2.96e-3 of the peak at j = -1, the same at every angle);
     # resampling the chirp itself lost 2.87e-2 at alpha = 0.005.
     angle = as_angle(alpha)
-    phi = fractional_scaling(hat_signal((-2.0, 2.0 ** -6, 4 * 64 + 1)), angle)
+    phi = chirp_modulate(hat_signal((-2.0, 2.0 ** -6, 4 * 64 + 1)), angle, -1)
     grid = (-8.0, 2.0 ** -8, 16 * 256 + 1)
     t = grid[0] + grid[1] * np.arange(grid[2])
     ks = np.arange(-2, 3)[:, None]
@@ -196,9 +190,16 @@ def test_auxiliary_function_quarter_turn_is_classical_symbol():
 
 
 def test_two_scale_spectral_relation_haar():
+    # Theta(u) = e^{i 3u^2 cot/8} Lambda(u/2) Theta(u/2) on [-P, P], P = 2 pi sin a
     angle = as_angle(math.pi / 3)
     phi, h = haar_system(angle)
-    assert two_scale_spectral_defect(phi, h) < 1e-6
+    count = 512
+    du = 2.0 * abs(angle.period) / count
+    u = -abs(angle.period) + du * np.arange(count + 1)
+    theta = spectrum_on_grid(phi, angle, u[0], du, u.size)
+    theta_half = spectrum_on_grid(phi, angle, u[0] / 2.0, du / 2.0, u.size)
+    chirp = np.exp(1j * (3.0 * angle.cot_alpha / 8.0) * u * u)
+    assert max_abs(theta, chirp * auxiliary_function(h, u / 2.0) * theta_half) < 1e-6
 
 
 def test_cascade_haar_reconverges():
@@ -216,7 +217,7 @@ def test_cascade_cdf53_primal_converges_to_hat():
     grid = (-3.0, dt, n)
     _, h, _ = cdf53_system(angle)
     out, inc = refine_cascade(h, grid, iterations=30)
-    hat = fractional_scaling(hat_signal(grid), angle)
+    hat = chirp_modulate(hat_signal(grid), angle, -1)
     assert out.minus(hat).norm() < 1e-3
     assert inc[-1] < inc[0]
 
@@ -257,13 +258,3 @@ def test_chirped_box_is_haar_scaling_profile():
     phi, _ = haar_system(angle, dt=2.0 ** -8)  # same grid by construction
     assert box.t0 == phi.t0 and box.n == phi.n
     assert max_abs(box.values, phi.values) < 1e-12
-
-
-def test_operator_norm_estimate_orthonormal_haar():
-    # orthogonal projectors do not grow a norm
-    angle = as_angle(math.pi / 3)
-    phi, _ = haar_system(angle)
-    batt = battery(3, 2, (-4.0, 2.0 ** -7, 1024), alpha=angle)
-    assert 0.9 < operator_norm_estimate(phi, phi, angle, batt) <= 1.0
-    with pytest.raises(EmptyBattery):
-        operator_norm_estimate(phi, phi, angle, [])

@@ -9,8 +9,6 @@ from frwave import (
     BiorthoWaveletPair,
     RieszLowerBoundZero,
     SampledSignal,
-    SequenceSpectrum,
-    SpectrumSamples,
     TailTooFat,
     as_angle,
     battery,
@@ -19,23 +17,18 @@ from frwave import (
     check_biorthogonal,
     chirp_modulate,
     dual_scaling,
-    fractional_scaling,
     haar_system,
     hat_signal,
     periodization_gram,
     riesz_bounds,
     riesz_frame_bounds,
     sample_at,
-    sequence_spectrum_eval,
     spectrum_on_grid,
-    translate_atom,
-    translate_expansion,
     translate_gram,
-    translate_spectrum,
     wavelet_synthesize,
 )
 from frwave.cli import BATTERY_GRID, _load_or_builtin_bank, _scaling_pair_for_bank
-from frwave.mra import LevelAtoms, level_atoms
+from frwave.mra import LevelAtoms, level_atom, level_atoms
 from frwave.riesz import _gram_grid
 
 from conftest import gaussian_signal, max_abs
@@ -46,7 +39,7 @@ FULL_PRODUCT = LevelAtoms.gram
 
 def chirped_hat(alpha, dt=2.0 ** -9, margin=2.0):
     n = int(round((2.0 + 2.0 * margin) / dt)) + 1
-    return fractional_scaling(hat_signal((-1.0 - margin, dt, n)), alpha)
+    return chirp_modulate(hat_signal((-1.0 - margin, dt, n)), alpha, -1)
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 2, math.pi / 3, 2.0 * math.pi / 3])
@@ -93,14 +86,6 @@ def test_periodization_zero_detected_by_dual_construction():
     box2 = SampledSignal(-1.0, dt, vals)
     with pytest.raises(RieszLowerBoundZero):
         dual_scaling(box2, math.pi / 2, grid_count=128, kmax=32, tau_pos=1e-4)
-
-
-def test_sequence_spectrum_periodicity():
-    angle = as_angle(math.pi / 3)
-    c = SequenceSpectrum(np.array([1.0, -2.0 + 1j, 0.5]), -1, angle)
-    u = np.linspace(0.0, angle.period, 33)
-    assert max_abs(sequence_spectrum_eval(c, u),
-                   sequence_spectrum_eval(c, u + angle.period)) < 1e-12
 
 
 def test_translate_gram_haar_identity():
@@ -165,14 +150,15 @@ def test_translate_expansion_reconstructs_span_element():
     grid = (-12.0, 2.0 ** -7, 3072)
     rng = np.random.default_rng(5)
     coefs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    acc = np.zeros(grid[2], dtype=np.complex128)
-    for c, n in zip(coefs, range(-4, 5)):
-        acc += c * translate_atom(phi, angle, n, grid).values
-    f = SampledSignal(grid[0], grid[1], acc)
-    seq, residual = translate_expansion(f, phi, phi, angle, N=8)
-    assert residual < 1e-2 * f.norm()
-    got = seq.coefficients[seq.indices >= -4][:9]
-    assert max_abs(got, coefs) < 1e-2 * float(np.max(np.abs(coefs)))
+    f = SampledSignal(grid[0], grid[1],
+                      level_atoms(phi, angle, 0, -4, 4, grid).synthesize(coefs))
+    # analysis on the translates |n| <= 8, synthesis over the Gram constant
+    translates = level_atoms(phi, angle, 0, -8, 8, grid)
+    a = translates.analyze(f.values)
+    c = translate_gram(phi, phi, angle, 0)[0, 0]
+    recon = SampledSignal(grid[0], grid[1], translates.synthesize(a / c))
+    assert f.minus(recon).norm() < 1e-2 * f.norm()
+    assert max_abs(a[4:13], coefs) < 1e-2 * float(np.max(np.abs(coefs)))
 
 
 def test_biortho_profile_tail_reported():
@@ -319,7 +305,7 @@ def shifted_hat(angle, dt, shift):
     n = int(round(4.0 / dt)) + 1
     t = -2.0 + dt * np.arange(n)
     hat = SampledSignal(-2.0, dt, np.maximum(0.0, 1.0 - np.abs(t - shift)))
-    return fractional_scaling(hat, angle)
+    return chirp_modulate(hat, angle, -1)
 
 
 ANGLES = st.one_of(
@@ -392,9 +378,11 @@ def test_translate_spectrum_is_spectrum_of_translate_atom(alpha):
     phi, _, _ = cdf53_system(angle)
     grid = (-6.0, phi.dt, 11 * 1024 + 1)
     u0, du, m = -24.0, 0.05, 961
-    theta = SpectrumSamples(u0, du, spectrum_on_grid(phi, angle, u0, du, m), angle)
+    u = u0 + du * np.arange(m)
+    theta = spectrum_on_grid(phi, angle, u0, du, m)
     for n in (-3, 2):
-        got = translate_spectrum(theta, n)
-        want = spectrum_on_grid(translate_atom(phi, angle, n, grid), angle, u0, du, m)
-        assert (got.u0, got.du, got.alpha) == (u0, du, angle)
-        assert max_abs(got.values, want) < 1e-12 * max_abs(want)
+        # the translate's transform: e^{i n^2 cot/2 - i n u csc} Theta(u)
+        got = np.exp(1j * (n * n * angle.cot_alpha / 2.0)
+                     - 1j * n * angle.csc_alpha * u) * theta
+        want = spectrum_on_grid(level_atom(phi, angle, 0, n, grid), angle, u0, du, m)
+        assert max_abs(got, want) < 1e-12 * max_abs(want)

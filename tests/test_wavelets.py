@@ -5,7 +5,6 @@ import pytest
 
 from frwave import (
     ContinuousAtomParams,
-    DiscreteAtomIndex,
     EmptyBattery,
     GridCoverage,
     MotherWavelet,
@@ -14,11 +13,11 @@ from frwave import (
     admissibility_refinement,
     as_angle,
     atom_continuous,
-    atom_discrete,
     battery,
-    frame_sum,
+    chirp_modulate,
     frft_eval,
     frwt_continuous,
+    level_atoms,
     make_mother,
 )
 from frwave.grids import sample_at, trap_weights
@@ -84,16 +83,6 @@ def test_atom_quarter_turn_is_classical():
     classical = (1.0 - (2.0 * (t - 1.0)) ** 2) * np.exp(
         -(2.0 * (t - 1.0)) ** 2 / 2.0) / math.sqrt(0.5)
     assert max_abs(atom.values, classical) < 1e-10
-
-
-def test_discrete_atom_is_continuous_at_dyadic_params():
-    psi = make_mother("haar")
-    grid = (-4.0, 2.0 ** -10, 8193)
-    alpha = as_angle(math.pi / 3)
-    d = atom_discrete(psi, alpha, DiscreteAtomIndex(2, -3), grid)
-    c = atom_continuous(psi, ContinuousAtomParams(alpha, 2.0 ** -2,
-                                                  -3.0 * 2.0 ** -2), grid)
-    assert max_abs(d.values, c.values) == 0.0
 
 
 def test_atom_spectrum_closed_form():
@@ -179,21 +168,25 @@ def test_admissibility_flags_nonvanishing_origin():
     assert vals[2] > 1.2 * vals[1]
 
 
-def test_frame_sum_meyer_near_tight():
-    psi = make_mother("meyer")
+def meyer_frame_ratio(alpha):
+    """sum over j in [-2, 3], |k| <= 128 of |<f, A[j,k] psi>|^2 / ||f||^2 for
+    the chirped Meyer mother and a chirped Gaussian f: the dyadic atoms are
+    level_atoms of the chirped mother."""
+    angle = as_angle(alpha)
+    psi = chirp_modulate(make_mother("meyer").signal, angle, -1)
     grid = (-32.0, 2.0 ** -6, 4096)
-    f = gaussian_signal(grid, sigma=4.0, carrier=2.0)
-    rep = frame_sum(f, psi, math.pi / 2, (-2, 3), (-128, 128))
-    assert abs(rep.ratio - 1.0) < 0.05
+    f = gaussian_signal(grid, sigma=4.0, carrier=2.0, alpha=angle)
+    energy = sum(np.sum(np.abs(level_atoms(psi, angle, j, -128, 128, grid)
+                               .analyze(f.values)) ** 2) for j in range(-2, 4))
+    return float(energy) / f.norm_sq()
 
 
-def test_frame_sum_monotone_in_ranges():
-    psi = make_mother("haar")
-    grid = (-8.0, 2.0 ** -7, 2048)
-    f = gaussian_signal(grid, sigma=1.0, carrier=3.0, alpha=math.pi / 3)
-    small = frame_sum(f, psi, math.pi / 3, (0, 2), (-8, 8))
-    big = frame_sum(f, psi, math.pi / 3, (-1, 3), (-16, 16))
-    assert big.sum >= small.sum
+def test_meyer_frame_is_tight_at_every_angle():
+    # the Meyer wavelets are an orthonormal basis, and chirp multiplication
+    # is unitary: f's band (around 2, width 1/4) lies inside levels -2..3
+    ratios = [meyer_frame_ratio(a) for a in (math.pi / 2, math.pi / 3, 2.5, 0.05)]
+    assert max(abs(r - 1.0) for r in ratios) < 1e-9
+    assert max(ratios) - min(ratios) < 1e-12
 
 
 def test_battery_determinism_and_errors():
