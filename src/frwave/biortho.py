@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -172,38 +172,33 @@ def cross_orthogonality_check(pair: BiorthoWaveletPair, phi: SampledSignal,
 
 def level_split_defect(f: SampledSignal, pair: BiorthoWaveletPair,
                        phi: SampledSignal, phi_dual: SampledSignal,
-                       k_proj: int = 64, dual: bool = False) -> float:
+                       k_proj: int = 64) -> float:
     """||P_1 f - P_0 f - W_0 f||_2 for the oblique level projections.
 
-    dual=True checks the swapped (analysis-side) split instead; when the
-    dual generator is only known through band-limited samples that variant
-    carries the sampling error of the dual, so the two are reported apart.
+    Swapping phi, phi_dual and the pair's psi, psi_dual gives the dual split.
     """
     alpha = pair.alpha
-    p, pd, w, wd = ((phi_dual, phi, pair.psi_dual, pair.psi) if dual
-                    else (phi, phi_dual, pair.psi, pair.psi_dual))
-    p1 = project(f, MRALevel(1, p, pd, alpha), k_proj)
-    p0 = project(f, MRALevel(0, p, pd, alpha), k_proj)
-    w0 = project(f, MRALevel(0, w, wd, alpha), k_proj)
+    p1 = project(f, MRALevel(1, phi, phi_dual, alpha), k_proj)
+    p0 = project(f, MRALevel(0, phi, phi_dual, alpha), k_proj)
+    w0 = project(f, MRALevel(0, pair.psi, pair.psi_dual, alpha), k_proj)
     return float(p1.minus(p0).minus(w0).norm())
 
 
 def expand_reconstruct(f: SampledSignal, pair: BiorthoWaveletPair,
-                       j_range: tuple[int, int], k_range: tuple[int, int],
-                       swap: bool = False) -> tuple[dict, float]:
+                       j_range: tuple[int, int],
+                       k_range: tuple[int, int]) -> tuple[dict, float]:
     """Coefficients <f, psi_dual_(j,k)> and residual of the psi synthesis.
 
-    swap=True analyzes against psi and synthesizes with psi_dual.
+    A pair with psi, psi_dual swapped analyzes against psi instead.
     """
     alpha = pair.alpha
-    ana, syn = (pair.psi, pair.psi_dual) if swap else (pair.psi_dual, pair.psi)
     ks = range(k_range[0], k_range[1] + 1)
     table = {}
     recon = np.zeros(f.n, dtype=np.complex128)
     for j in range(j_range[0], j_range[1] + 1):
         span = (j, k_range[0], k_range[1], (f.t0, f.dt, f.n))
-        coefs = level_atoms(ana, alpha, *span).analyze(f.values)
-        recon += level_atoms(syn, alpha, *span).synthesize(coefs)
+        coefs = level_atoms(pair.psi_dual, alpha, *span).analyze(f.values)
+        recon += level_atoms(pair.psi, alpha, *span).synthesize(coefs)
         table.update(zip(itertools.product([j], ks), coefs.tolist()))
     residual = SampledSignal(f.t0, f.dt, f.values - recon).norm()
     return table, residual

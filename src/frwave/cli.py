@@ -20,7 +20,6 @@ from . import banks, biortho, mra, riesz, wavelets
 from .errors import FrwaveError, InputError
 from .frft import FrFTPlan, frft, inverse_frft
 from .grids import (
-    SampledSignal,
     as_angle,
     read_signal_csv,
     read_spectrum_csv,

@@ -29,6 +29,8 @@ HIT_TOL = 1e-8
 # largest numerator and denominator of a step ratio resample evaluates by
 # polyphase convolution
 RESAMPLE_MAX_TERM = 64
+# points per sinc block of sample_at
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,7 @@ class SpectrumSamples:
         return SampledSignal(self.u0, self.du, self.values)
 
 
-def sample_at(signal: SampledSignal, points: np.ndarray,
-              chunk: int = 512) -> np.ndarray:
+def sample_at(signal: SampledSignal, points: np.ndarray) -> np.ndarray:
     """Evaluate a sampled signal at arbitrary abscissae.
 
     Points landing on grid samples (within HIT_TOL of a step) are read off
@@ -193,8 +194,8 @@ def sample_at(signal: SampledSignal, points: np.ndarray,
         x = idx[miss]
         vals = np.zeros(x.size, dtype=np.complex128)
         m = np.arange(signal.n)
-        for lo in range(0, x.size, chunk):
-            sl = slice(lo, min(lo + chunk, x.size))
+        for lo in range(0, x.size, _CHUNK):
+            sl = slice(lo, min(lo + _CHUNK, x.size))
             vals[sl] = np.sinc(x[sl, None] - m[None, :]) @ signal.values
         out[miss] = vals
     return out

@@ -208,21 +208,20 @@ def two_scale_defect(phi: SampledSignal, h: ScalingFilter) -> float:
 
 
 def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
-                   iterations: int = 40,
-                   start: SampledSignal | None = None,
-                   lowpass_tol: float = 1e-6) -> tuple[SampledSignal, list[float]]:
+                   iterations: int = 40) -> tuple[SampledSignal, list[float]]:
     """Fixed-point iteration of the two-scale map from a box start.
 
     Returns the final iterate and the Cauchy increments ||phi_{m+1}-phi_m||.
     The start is the chirped box, whose dechirped integral is 1, which pins
-    the limit's normalization at every angle.
+    the limit's normalization at every angle. Taps whose lowpass sum is not
+    sqrt(2) within 1e-6 relative raise NonConvergent.
     """
     angle = h.alpha
     gain = abs(np.sum(h.taps * np.exp(1j * (angle.cot_alpha / 8.0)
                                       * h.indices.astype(float) ** 2)))
-    if abs(gain - math.sqrt(2.0)) > lowpass_tol * math.sqrt(2.0):
+    if abs(gain - math.sqrt(2.0)) > 1e-6 * math.sqrt(2.0):
         raise NonConvergent(f"lowpass normalization sum is {gain:.6g}, not sqrt(2)")
-    phi = chirp_modulate(box_signal(grid), angle, -1) if start is None else start
+    phi = chirp_modulate(box_signal(grid), angle, -1)
     increments: list[float] = []
     rising = 0
     for _ in range(iterations):

@@ -13,7 +13,9 @@ profiles with period 2*pi*sin(alpha) in the transform domain:
     L(u)   = sum_k Theta(u + k P) conj(Theta_dual(u + k P))  (biorthogonality)
 
 with P = 2 pi sin(alpha). Profiles are sampled on [0, P); the k-sums are
-truncated at kmax with a reported tail estimate.
+truncated at kmax with a reported tail estimate. In the time domain the
+same invariance makes the translate Gram chirp-Toeplitz: translate_gram takes
+it from its 4 n_gram + 1 lags at any sampling step.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import NotRealProfile, RieszLowerBoundZero, TailTooFat
 from .frft import chirp_modulate, spectrum_on_grid
-from .grids import HIT_TOL, Angle, SampledSignal, as_angle
+from .grids import Angle, SampledSignal, as_angle
 from .mra import level_atoms
 from .report import AnalysisReport, RunConfig
 
@@ -135,75 +137,36 @@ def biortho_profile(phi: SampledSignal, phi_dual: SampledSignal, alpha,
     return PeriodicProfile(abs(angle.period), du, profile, kmax, angle, tail=tail)
 
 
-def _gram_grid(phi: SampledSignal, phi_dual: SampledSignal,
-               n_gram: int) -> tuple[float, float, int]:
-    dt = min(phi.dt, phi_dual.dt)
-    lo = min(phi.t0, phi_dual.t0) - n_gram - 1.0
-    hi = max(phi.t_end, phi_dual.t_end) + n_gram + 1.0
-    count = int(math.ceil((hi - lo) / dt)) + 1
-    return (lo, dt, count)
-
-
 def translate_gram(phi: SampledSignal, phi_dual: SampledSignal, alpha,
-                   n_gram: int = 8,
-                   grid: tuple[float, float, int] | None = None) -> np.ndarray:
+                   n_gram: int = 8) -> np.ndarray:
     """Gram matrix <phi_n, phi_dual_m> for |n|, |m| <= n_gram.
 
-    G[n,m] = exp(i (n^2 - m^2) cot/2) sum_i w_i Phi[n,i] conj(Psi[m,i]) with
-    Phi, Psi the dechirped translate rows of level_atoms; the t-chirp cancels.
-
-    When the translates are whole grid steps (S = 1/dt an integer) and one
-    generator lies on the grid's lattice with every translate of its
-    support strictly inside the grid, row n of that generator is its own
-    samples shifted by n S, and the sum depends on m - n only:
+    The translates are the level-0 atoms of mra.level_atoms, and chirp-
+    modulated shift invariance makes their Gram chirp-Toeplitz at every
+    sampling step:
 
         G[n,m] = exp(i (n^2 - m^2) cot/2) c[m - n],
         c[d] = sum_s w_s phi_c(s) conj(phi_dual_c(s - d)),  |d| <= 2 n_gram,
 
-    over that generator's own samples padded by one zero on each side
-    (conj(G^T) of the swapped call when it is phi_dual). Everywhere else
-    (off-dyadic steps, a grid too narrow for the translates) G is the full
-    product of the two level_atoms families.
+    with phi_c, phi_dual_c the dechirped generators; the t-chirp cancels.
+    The sum runs over the samples of the generator with the smaller step
+    (phi on a tie), padded by one zero on each side, and the other is
+    resampled there; when that generator is phi_dual, G is conj(G^T) of
+    the swapped call.
     """
     angle = as_angle(alpha).require_regular()
-    if grid is None:
-        grid = _gram_grid(phi, phi_dual, n_gram)
-    if _on_lattice(phi, n_gram, grid):
-        return _lag_gram(phi, phi_dual, angle, n_gram)
-    if _on_lattice(phi_dual, n_gram, grid):
-        return np.conj(_lag_gram(phi_dual, phi, angle, n_gram).T)
-    span = (0, -n_gram, n_gram, grid)
-    return level_atoms(phi, angle, *span).gram(level_atoms(phi_dual, angle, *span))
-
-
-def _on_lattice(phi: SampledSignal, n_gram: int,
-                grid: tuple[float, float, int]) -> bool:
-    """phi's samples are grid points, and so are its translates by |n| <=
-    n_gram, all strictly inside the grid (off its end weights)."""
-    t0, dt, count = grid
-    stride = round(1.0 / dt)
-    offset = (phi.t0 - t0) / dt
-    if (phi.dt != dt or abs(1.0 / dt - stride) > 1e-12
-            or abs(offset - round(offset)) > HIT_TOL):
-        return False
-    first = round(offset) - n_gram * stride
-    last = round(offset) + phi.n - 1 + n_gram * stride
-    return first >= 1 and last <= count - 2
-
-
-def _lag_gram(phi: SampledSignal, phi_dual: SampledSignal, angle: Angle,
-              n_gram: int) -> np.ndarray:
-    """The chirp-Toeplitz Gram from its 4 n_gram + 1 lags on phi's samples."""
-    own = (phi.t0 - phi.dt, phi.dt, phi.n + 2)
-    lags = level_atoms(phi_dual, angle, 0, -2 * n_gram, 2 * n_gram, own)
-    x = lags.weights * np.pad(chirp_modulate(phi, angle, 1).values, 1)
+    swap = phi_dual.dt < phi.dt
+    lag, other = (phi_dual, phi) if swap else (phi, phi_dual)
+    own = (lag.t0 - lag.dt, lag.dt, lag.n + 2)
+    lags = level_atoms(other, angle, 0, -2 * n_gram, 2 * n_gram, own)
+    x = lags.weights * np.pad(chirp_modulate(lag, angle, 1).values, 1)
     # one vdot per lag: a (4N+1)-row complex mat-vec is ~15x slower on two
     # BLAS threads than on one, and the vdots are faster than either
     c = np.array([np.vdot(row, x) for row in lags.rows])
     n = np.arange(2 * n_gram + 1)
     row_phase = lags.row_phase[n_gram:3 * n_gram + 1]
-    lag = n[None, :] - n[:, None] + 2 * n_gram
-    return row_phase[:, None] * c[lag] * np.conj(row_phase)
+    g = row_phase[:, None] * c[n[None, :] - n[:, None] + 2 * n_gram] * np.conj(row_phase)
+    return np.conj(g.T) if swap else g
 
 
 def check_biorthogonal(phi: SampledSignal, phi_dual: SampledSignal, alpha,

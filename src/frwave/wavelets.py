@@ -24,6 +24,7 @@ from .frft import chirp_modulate, spectrum_on_grid
 from .grids import Angle, SampledSignal, as_angle, box_signal, resample
 
 COVERAGE_TOL = 1e-3   # fraction of atom mass allowed to fall off-grid
+BATTERY_BAND = 6.0    # largest frequency magnitude of a battery member
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,12 @@ def atom_continuous(psi: MotherWavelet, p: ContinuousAtomParams,
 
 
 def admissibility_constant(psi: MotherWavelet, alpha, u_max: float = 32.0,
-                           n: int = 8192, xi_min: float | None = None) -> float:
-    """Integral of |F_alpha{dechirped psi}(xi)|^2 / |xi| over |xi| in [xi_min, u_max].
+                           n: int = 8192) -> float:
+    """Integral of |F_alpha{dechirped psi}(xi)|^2 / |xi| over du <= |xi| <= u_max.
 
-    xi_min defaults to the spectrum's grid step 2 u_max / (n - 1).
+    du = 2 u_max / (n - 1) is the spectrum's grid step.
     """
-    if xi_min is None:
-        xi_min = 2.0 * u_max / (n - 1)
-    return admissibility_refinement(psi, alpha, [xi_min], u_max, n)[0]
+    return admissibility_refinement(psi, alpha, [2.0 * u_max / (n - 1)], u_max, n)[0]
 
 
 def admissibility_refinement(psi: MotherWavelet, alpha, xi_mins,
@@ -168,13 +167,12 @@ def frwt_continuous(f: SampledSignal, psi: MotherWavelet,
     return f.inner(atom)
 
 
-def battery(seed: int, size: int, grid: tuple[float, float, int],
-            band: float = 6.0, alpha=None,
+def battery(seed: int, size: int, grid: tuple[float, float, int], alpha=None,
             band_min: float = 0.0) -> list[SampledSignal]:
     """Randomized band-limited test signals; chirped to the angle if given.
 
     Each member is a Gaussian-windowed random trigonometric polynomial with
-    frequency magnitudes in [band_min, band], normalized to unit trapezoid
+    frequency magnitudes in [band_min, BATTERY_BAND], normalized to unit trapezoid
     norm. A positive band_min keeps the battery away from DC, which matters
     for wavelet-only expansions that drop the coarsest scaling layer.
     """
@@ -185,9 +183,9 @@ def battery(seed: int, size: int, grid: tuple[float, float, int],
     t = t0 + dt * np.arange(n)
     width = (n - 1) * dt / 6.0
     window = np.exp(-(t - (t0 + (n - 1) * dt / 2.0)) ** 2 / (2.0 * width ** 2))
-    half = np.linspace(band_min, band, 13)
+    half = np.linspace(band_min, BATTERY_BAND, 13)
     freqs = np.concatenate([-half[::-1], half]) if band_min > 0 \
-        else np.linspace(-band, band, 25)
+        else np.linspace(-BATTERY_BAND, BATTERY_BAND, 25)
     out = []
     for _ in range(size):
         coef = rng.standard_normal(freqs.size) + 1j * rng.standard_normal(freqs.size)

@@ -16,7 +16,6 @@ from frwave import (
     cross_orthogonality_check,
     decay_check,
     expand_reconstruct,
-    fractional_taps,
     haar_system,
     highpass_from_lowpass,
     level_split_defect,
@@ -31,6 +30,11 @@ from frwave import (
 from frwave.banks import spectral_scaling_from_filter
 
 from conftest import gaussian_signal, max_abs
+
+
+def swapped(pair):
+    """The pair with psi and psi_dual exchanged."""
+    return BiorthoWaveletPair(pair.psi_dual, pair.psi, pair.alpha, pair.bank)
 
 
 def haar_pair(alpha):
@@ -100,7 +104,7 @@ def test_level_split_primal_and_dual():
     pair, phi, phid = haar_pair(math.pi / 3)
     f = battery(3, 1, (-4.0, 2.0 ** -7, 1024), alpha=math.pi / 3)[0]
     assert level_split_defect(f, pair, phi, phid) < 1e-3
-    assert level_split_defect(f, pair, phi, phid, dual=True) < 1e-3
+    assert level_split_defect(f, swapped(pair), phid, phi) < 1e-3
 
 
 def test_level_split_detects_broken_bank():
@@ -122,7 +126,7 @@ def test_expand_reconstruct_haar():
     table, res = expand_reconstruct(f, pair, (-3, 6), (-128, 128))
     assert res < 0.05
     # swapped analysis/synthesis reconstructs as well for an orthonormal bank
-    _, res_swap = expand_reconstruct(f, pair, (-3, 6), (-128, 128), swap=True)
+    _, res_swap = expand_reconstruct(f, swapped(pair), (-3, 6), (-128, 128))
     assert res_swap < 0.05
 
 

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from frwave import InputError, load_bank, read_signal_csv, write_signal_csv

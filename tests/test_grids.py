@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from frwave import (
-    Angle,
     DegenerateAngle,
     FrFTPlan,
     InputError,

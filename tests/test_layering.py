@@ -4,7 +4,8 @@ Dense quadrature (frft_eval) is a test oracle only: no library code calls
 it. Off-grid evaluation goes through the one resampler: only grids.py calls
 sample_at (as resample's fallback). The library needs numpy alone: importing
 the CLI loads no scipy. Every name the package exports is used by the
-library itself, or is public API for a reason named in PUBLIC_API.
+library itself, or is public API for a reason named in PUBLIC_API. No
+module of the library or of its tests imports a name it never reads.
 """
 
 import ast
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "frwave"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "frwave"
 
 # function -> the one module allowed to call it
 CALLERS = {"frft_eval": None, "sample_at": "grids.py"}
@@ -92,3 +94,32 @@ def test_library_runs_on_numpy_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names the source imports and never reads; from __future__ is exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+# __init__.py imports to re-export
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"})
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert not unread_imports(path.read_text())
+
+
+def test_import_rule_sees_unread_names():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import numpy as np\nfrom math import pi, tau\nprint(np.pi, tau)\n")
+    assert unread_imports(source) == ["line 2: os", "line 4: pi"]

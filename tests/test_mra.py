@@ -13,9 +13,7 @@ from frwave import (
     auxiliary_function,
     box_signal,
     cdf53_system,
-    cdf53_taps,
     chirp_modulate,
-    fractional_taps,
     haar_system,
     hat_signal,
     level_atom,
@@ -26,7 +24,6 @@ from frwave import (
     sample_at,
     scaling_filter,
     spectrum_on_grid,
-    two_scale_apply,
     two_scale_defect,
 )
 from frwave import mra

@@ -28,13 +28,9 @@ from frwave import (
     wavelet_synthesize,
 )
 from frwave.cli import BATTERY_GRID, _load_or_builtin_bank, _scaling_pair_for_bank
-from frwave.mra import LevelAtoms, level_atom, level_atoms
-from frwave.riesz import _gram_grid
+from frwave.mra import level_atom, level_atoms
 
 from conftest import gaussian_signal, max_abs
-
-# the oracle's product, taken before any test replaces LevelAtoms.gram
-FULL_PRODUCT = LevelAtoms.gram
 
 
 def chirped_hat(alpha, dt=2.0 ** -9, margin=2.0):
@@ -169,8 +165,8 @@ def test_biortho_profile_tail_reported():
 
 @pytest.fixture(scope="module")
 def mixed_step_pair():
-    """Chirped hat on 2^-7 and the dual of its 2^-6 copy at pi/3, with the
-    Gram grid of translate_gram(n_gram=4)."""
+    """Chirped hat on 2^-7 and the dual of its 2^-6 copy at pi/3, with a
+    grid on phi's step that holds their translates by |n| <= 4."""
     angle = as_angle(math.pi / 3)
     phi = chirped_hat(angle, dt=2.0 ** -7, margin=1.0)
     dual = dual_scaling(chirped_hat(angle, dt=2.0 ** -6, margin=1.0), angle)
@@ -195,38 +191,55 @@ def test_translate_gram_mixed_steps_matches_pointwise_oracle(mixed_step_pair):
     w = np.full(count, dt)
     w[[0, -1]] *= 0.5
     want = (atoms(phi) * w) @ np.conj(atoms(dual).T)
-    got = translate_gram(phi, dual, angle, n_gram=4, grid=grid)
+    got = translate_gram(phi, dual, angle, n_gram=4)
     assert max_abs(got, want) < 1e-12 * max_abs(want)
 
 
-def test_translate_gram_off_dyadic_step_matches_dense_gram(full_products):
-    # S = 1/dt is no integer: every translate row is resampled on its own,
-    # and the Gram is the full product of both families
+def test_translate_gram_off_dyadic_step_matches_dense_gram():
+    # S = 1/dt is no integer: every lag row is resampled on its own. Entry
+    # (n, m) is the trapezoid sum over phi's own samples, padded by one zero
+    # each side and carried along with translate n, t = s + n
     angle = as_angle(math.pi / 3)
     phi = chirped_hat(angle, dt=0.003, margin=0.5)
     dual = dual_scaling(phi, angle, out_grid=(phi.t0, phi.dt, phi.n))
-    grid = (phi.t0 - 3.0, phi.dt, phi.n + 2000)
-    t = grid[0] + grid[1] * np.arange(grid[2])
-
-    def atoms(g):
-        # A[0,n] g = g_c(t - n) e^{-i cot (t^2 - n^2)/2}, g_c = g e^{i s^2 cot/2}
-        g_c = chirp_modulate(g, angle, 1)
-        return np.stack([sample_at(g_c, t - n)
-                         * np.exp(-0.5j * angle.cot_alpha * (t * t - n * n))
-                         for n in range(-2, 3)])
-
-    w = np.full(grid[2], grid[1])
+    s = phi.t0 + phi.dt * np.arange(-1, phi.n + 1)
+    w = np.full(s.size, phi.dt)
     w[[0, -1]] *= 0.5
-    want = (atoms(phi) * w) @ np.conj(atoms(dual).T)
-    got = translate_gram(phi, dual, angle, n_gram=2, grid=grid)
-    assert len(full_products) == 1
+    phi_c = np.pad(chirp_modulate(phi, angle, 1).values, 1)
+    dual_c = chirp_modulate(dual, angle, 1)
+    lag = {d: sample_at(dual_c, s - d) for d in range(-4, 5)}
+    half_cot = 0.5 * angle.cot_alpha
+    want = np.empty((5, 5), dtype=complex)
+    for n in range(-2, 3):
+        t = s + n
+        # A[0,n] g (t) = g_c(t - n) e^{-i cot (t^2 - n^2)/2}
+        atom = phi_c * np.exp(-1j * half_cot * (t * t - n * n))
+        for m in range(-2, 3):
+            other = lag[m - n] * np.exp(-1j * half_cot * (t * t - m * m))
+            want[n + 2, m + 2] = np.sum(w * atom * np.conj(other))
+    got = translate_gram(phi, dual, angle, n_gram=2)
     assert max_abs(got, want) < 1e-12 * max_abs(want)
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 2, math.pi / 3, 2.5])
+@pytest.mark.parametrize("dt", [0.003, 0.0071, 2.0 ** -7])
+def test_translate_gram_hat_matches_closed_form(alpha, dt):
+    # the hat's integer-translate correlations are 2/3 at lag 0 and 1/6 at
+    # lags +-1; the trapezoid sum of the piecewise-quadratic products is off
+    # by O(dt^2), dt^2/3 at lag 0 when the kinks are grid points
+    angle = as_angle(alpha)
+    phi = chirped_hat(angle, dt=dt, margin=1.0)
+    n = np.arange(-4, 5)[:, None]
+    m = n.T
+    lags = np.select([n == m, abs(n - m) == 1], [2.0 / 3.0, 1.0 / 6.0], 0.0)
+    exact = np.exp(0.5j * angle.cot_alpha * (n * n - m * m)) * lags
+    assert max_abs(translate_gram(phi, phi, angle, n_gram=4), exact) <= dt * dt / 2.0
 
 
 def test_translate_gram_chirp_toeplitz_identity(mixed_step_pair):
     # G[n, m] exp(-i cot n (n - m)) depends on n - m only
     angle, phi, dual, grid = mixed_step_pair
-    g = translate_gram(phi, dual, angle, n_gram=4, grid=grid)
+    g = translate_gram(phi, dual, angle, n_gram=4)
     n = np.arange(-4, 5)[:, None]
     m = np.arange(-4, 5)[None, :]
     toeplitz = g * np.exp(-1j * angle.cot_alpha * n * (n - m))
@@ -235,19 +248,15 @@ def test_translate_gram_chirp_toeplitz_identity(mixed_step_pair):
         assert max_abs(diag, diag[0]) < 1e-12 * max_abs(g)
 
 
-def full_gram(phi, dual, angle, n_gram, grid=None):
-    """translate_gram's sum as the full product of both translate families."""
-    span = (0, -n_gram, n_gram, grid or _gram_grid(phi, dual, n_gram))
-    return FULL_PRODUCT(level_atoms(phi, angle, *span), level_atoms(dual, angle, *span))
-
-
-@pytest.fixture
-def full_products(monkeypatch):
-    """One entry per LevelAtoms.gram product the library makes in a test."""
-    calls = []
-    monkeypatch.setattr(LevelAtoms, "gram",
-                        lambda self, other: calls.append(1) or FULL_PRODUCT(self, other))
-    return calls
+def full_gram(phi, dual, angle, n_gram):
+    """translate_gram's sum as the full product of both translate families,
+    on the finer step over both generators' supports and one more than
+    n_gram on each side."""
+    dt = min(phi.dt, dual.dt)
+    lo = min(phi.t0, dual.t0) - n_gram - 1.0
+    hi = max(phi.t_end, dual.t_end) + n_gram + 1.0
+    span = (0, -n_gram, n_gram, (lo, dt, int(math.ceil((hi - lo) / dt)) + 1))
+    return level_atoms(phi, angle, *span).gram(level_atoms(dual, angle, *span))
 
 
 @pytest.fixture(scope="module", params=[
@@ -263,41 +272,33 @@ def report_pairs(request):
                         (pair.psi, phi_dual), (pair.psi_dual, phi)]
 
 
-def test_translate_gram_lags_match_full_product_on_report_pairs(report_pairs,
-                                                                full_products):
+def test_translate_gram_lags_match_full_product_on_report_pairs(report_pairs):
     angle, pairs = report_pairs
     for phi, dual in pairs:
         got = translate_gram(phi, dual, angle)
         want = full_gram(phi, dual, angle, 8)
         assert max_abs(got, want) < 1e-13 * phi.norm() * dual.norm()
-    assert not full_products
 
 
-def test_translate_gram_lags_on_either_generator(mixed_step_pair, full_products):
-    # the 2^-6 dual is off the 2^-7 Gram grid: (dual, phi) takes the lags on
-    # phi's samples and returns conj(G^T) of the (phi, dual) call
+def test_translate_gram_lags_on_either_generator(mixed_step_pair):
+    # phi has the finer step: (dual, phi) takes the lags on phi's samples
+    # and returns conj(G^T) of the (phi, dual) call
     angle, phi, dual, _ = mixed_step_pair
     forward = translate_gram(phi, dual, angle, n_gram=4)
     swapped = translate_gram(dual, phi, angle, n_gram=4)
     assert np.array_equal(swapped, np.conj(forward).T)
     for a, b, got in ((phi, dual, forward), (dual, phi, swapped)):
         assert max_abs(got, full_gram(a, b, angle, 4)) < 1e-13 * a.norm() * b.norm()
-    assert not full_products
 
 
-@pytest.mark.parametrize("pad, products", [(0, 1), (1, 0)], ids=["on-end-weights", "inside"])
-def test_translate_gram_lattice_needs_translates_off_the_end_weights(pad, products,
-                                                                     full_products):
-    # a Gaussian cut at +-4 keeps its end samples (3e-4); on a grid too
-    # narrow to keep its translates off the half end weights the Gram stays
-    # the full product, one more step each side takes the lags
+def test_translate_gram_of_a_generator_cut_at_nonzero_ends():
+    # a Gaussian cut at +-4 keeps its end samples (3e-4): the lags' zero
+    # padding gives them the full trapezoid weight they have on a grid that
+    # holds every translate inside its ends
     angle = as_angle(math.pi / 3)
     g = gaussian_signal((-4.0, 2.0 ** -7, 1025), alpha=angle)
-    reach = 2 * 128 + pad
-    grid = (g.t0 - reach * g.dt, g.dt, g.n + 2 * reach)
-    got = translate_gram(g, g, angle, n_gram=2, grid=grid)
-    assert len(full_products) == products
-    assert max_abs(got, full_gram(g, g, angle, 2, grid)) < 1e-13 * g.norm_sq()
+    got = translate_gram(g, g, angle, n_gram=2)
+    assert max_abs(got, full_gram(g, g, angle, 2)) < 1e-13 * g.norm_sq()
 
 
 def shifted_hat(angle, dt, shift):
