@@ -81,7 +81,6 @@ from .banks import (
 )
 from .biortho import (
     BiorthoWaveletPair,
-    DecayReport,
     RieszBoundsPair,
     WaveletFilterBank,
     cross_level_orthogonality,

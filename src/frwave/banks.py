@@ -21,6 +21,7 @@ from .grids import SampledSignal, as_angle, box_signal
 from .mra import ScalingFilter, tap_symbol
 
 SQ2 = math.sqrt(2.0)
+MARGIN = 1.0    # zero samples on each side of the reference generators' supports
 
 
 def haar_taps() -> tuple[np.ndarray, int]:
@@ -84,35 +85,30 @@ def spectral_scaling(taps: np.ndarray, offset: int, alpha,
 
 
 def spectral_scaling_from_filter(h: ScalingFilter,
-                                 grid: tuple[float, float, int],
-                                 **kwargs) -> SampledSignal:
+                                 grid: tuple[float, float, int]) -> SampledSignal:
     """spectral_scaling driven by an angle-carried filter.
 
-    Undoes the tap phase e^{-i n^2 cot(a)/8} to recover the flat-angle
-    symbol, builds its generator by the truncated product, and re-chirps.
+    Builds the generator of the classical (dechirped) taps by the truncated
+    product, and re-chirps it.
     """
-    n = h.offset + np.arange(h.taps.size)
-    classical = h.taps * np.exp(
-        1j * (h.alpha.cot_alpha / 8.0) * n.astype(float) ** 2)
-    return spectral_scaling(classical, h.offset, h.alpha, grid, **kwargs)
+    return spectral_scaling(h.classical_taps, h.offset, h.alpha, grid)
 
 
-def haar_system(alpha, dt: float = 2.0 ** -10,
-                margin: float = 1.0) -> tuple[SampledSignal, ScalingFilter]:
-    """Chirped Haar generator and its taps on a tight grid around [0,1]."""
+def haar_system(alpha, dt: float = 2.0 ** -10) -> tuple[SampledSignal, ScalingFilter]:
+    """Chirped Haar generator and its taps on [-MARGIN, 1 + MARGIN]."""
     angle = as_angle(alpha).require_regular()
-    n = int(round((1.0 + 2.0 * margin) / dt)) + 1
-    phi_c = box_signal((-margin, dt, n))
+    n = int(round((1.0 + 2.0 * MARGIN) / dt)) + 1
+    phi_c = box_signal((-MARGIN, dt, n))
     taps, off = haar_taps()
     return chirp_modulate(phi_c, angle, -1), fractional_taps(taps, off, angle)
 
 
-def cdf53_system(alpha, dt: float = 2.0 ** -10, margin: float = 1.0,
+def cdf53_system(alpha, dt: float = 2.0 ** -10,
                  ) -> tuple[SampledSignal, ScalingFilter, ScalingFilter]:
-    """Chirped hat generator with CDF 5/3 primal and dual taps."""
+    """Chirped hat generator on [-1 - MARGIN, 1 + MARGIN], CDF 5/3 primal and dual taps."""
     angle = as_angle(alpha).require_regular()
-    n = int(round((2.0 + 2.0 * margin) / dt)) + 1
-    phi_c = hat_signal((-1.0 - margin, dt, n))
+    n = int(round((2.0 + 2.0 * MARGIN) / dt)) + 1
+    phi_c = hat_signal((-1.0 - MARGIN, dt, n))
     h, off, hd, offd = cdf53_taps()
     return (chirp_modulate(phi_c, angle, -1),
             fractional_taps(h, off, angle),

@@ -23,24 +23,23 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyBattery, InputError
-from .frft import spectrum_on_grid
 from .grids import Angle, SampledSignal, as_angle
 from .mra import (
     MRALevel,
     ScalingFilter,
     auxiliary_function,
+    decay_exponent,
     level_atoms,
     project,
     two_scale_apply,
+    zero_order,
 )
-from .report import AnalysisReport
+from .report import AnalysisReport, Verdict
 from .riesz import check_biorthogonal, translate_gram
 
-CONSTRUCTED = "Constructed"
-LOADED = "Loaded"
-
-TAU_MAT = 1e-6
-U_MAX = 64.0 * math.pi
+DECAY_EPS = 0.05       # decay_check: scaling spectra below |u|^(-1/2 - DECAY_EPS)
+DUALITY_SLACK = 0.1    # duality_ok: A >= (1 - DUALITY_SLACK) / B_dual
+CROSS_LEVEL_K = 4      # cross_level_orthogonality: translates |k| <= CROSS_LEVEL_K
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class WaveletFilterBank:
     h_dual: ScalingFilter
     g: ScalingFilter
     g_dual: ScalingFilter
-    origin: str = CONSTRUCTED
 
     def __post_init__(self):
         alphas = {f.alpha.alpha for f in (self.h, self.h_dual, self.g, self.g_dual)}
@@ -69,20 +67,6 @@ class BiorthoWaveletPair:
     bank: WaveletFilterBank
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    C: float
-    epsilon: float
-    pass_phi: bool
-    pass_phi_dual: bool
-    pass_psi_origin: bool
-    pass_psi_dual_origin: bool
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-
 def highpass_from_lowpass(h_dual: ScalingFilter) -> ScalingFilter:
     """Conjugate-mirror highpass: taps realizing Gamma from Lambda_dual.
 
@@ -90,8 +74,7 @@ def highpass_from_lowpass(h_dual: ScalingFilter) -> ScalingFilter:
     which reduces to the classical g[m] = (-1)^(m+1) hd[1-m] at a = pi/2.
     """
     angle = h_dual.alpha.require_regular()
-    nmin, nmax = int(h_dual.offset), int(h_dual.offset) + h_dual.taps.size - 1
-    ms = np.arange(1 - nmax, 1 - nmin + 1)
+    ms = 1 - h_dual.indices[::-1]
     taps = np.array([
         ((-1.0) ** (1 - m)) * np.conj(h_dual.tap(1 - m))
         * np.exp(-1j * (angle.cot_alpha / 8.0) * ((1 - m) ** 2 + m ** 2))
@@ -101,8 +84,7 @@ def highpass_from_lowpass(h_dual: ScalingFilter) -> ScalingFilter:
 
 def make_bank(h: ScalingFilter, h_dual: ScalingFilter | None = None,
               g: ScalingFilter | None = None,
-              g_dual: ScalingFilter | None = None,
-              origin: str = CONSTRUCTED) -> WaveletFilterBank:
+              g_dual: ScalingFilter | None = None) -> WaveletFilterBank:
     """Assemble a bank, deriving missing filters by the conjugate-mirror rule."""
     if h_dual is None:
         h_dual = h
@@ -110,13 +92,12 @@ def make_bank(h: ScalingFilter, h_dual: ScalingFilter | None = None,
         g = highpass_from_lowpass(h_dual)
     if g_dual is None:
         g_dual = highpass_from_lowpass(h)
-    return WaveletFilterBank(h, h_dual, g, g_dual, origin)
+    return WaveletFilterBank(h, h_dual, g, g_dual)
 
 
 def _modulation_matrix(lo: ScalingFilter, hi: ScalingFilter,
                        u: np.ndarray) -> np.ndarray:
-    angle = lo.alpha
-    half = abs(angle.period) / 2.0  # pi * |sin alpha|
+    half = abs(lo.alpha.period) / 2.0  # pi * |sin alpha|
     rows = np.empty((2, 2, u.size), dtype=np.complex128)
     rows[0, 0] = auxiliary_function(lo, u)
     rows[0, 1] = auxiliary_function(lo, u + half)
@@ -204,42 +185,19 @@ def expand_reconstruct(f: SampledSignal, pair: BiorthoWaveletPair,
     return table, residual
 
 
-def decay_check(pair: BiorthoWaveletPair, phi: SampledSignal,
-                phi_dual: SampledSignal, eps: float,
-                u_max: float = U_MAX, count: int = 4096) -> DecayReport:
-    """Polynomial-decay bounds for the scaling spectra, origin bound for psi.
+def decay_check(bank: WaveletFilterBank) -> Verdict:
+    """The paper's decay assumptions, certified from the bank's taps.
 
-    The constant C is fitted on the inner half of [-u_max, u_max] and the
-    bound 1.1*C*(1+|u|)^(-1/2-eps) must hold on the outer half; the origin
-    bound fits |F psi|/|u| on 0.5 <= |u| <= 2 and requires |F psi| <= 2*C*|u|
-    for |u| <= 0.5.
+    Both lowpass filters need a certified exponent (mra.decay_exponent) above
+    1/2 + DECAY_EPS, and both highpass symbols a zero at omega = 0. The value
+    is the smaller exponent; a failure means "not certified" (one-sided).
     """
-    alpha = pair.alpha
-    du = 2.0 * u_max / count
-    u = -u_max + du * np.arange(count + 1)
-    au = np.abs(u)
-
-    def tail_ok(sig: SampledSignal) -> tuple[bool, float]:
-        mag = np.abs(spectrum_on_grid(sig, alpha, u[0], du, u.size))
-        weight = (1.0 + au) ** (0.5 + eps)
-        inner = au <= u_max / 2.0
-        C = float(np.max(mag[inner] * weight[inner]))
-        ok = bool(np.all(mag[~inner] <= 1.1 * C / weight[~inner] + 1e-12))
-        return ok, C
-
-    def origin_ok(sig: SampledSignal) -> tuple[bool, float]:
-        mag = np.abs(spectrum_on_grid(sig, alpha, u[0], du, u.size))
-        fit = (au >= 0.5) & (au <= 2.0)
-        C = float(np.max(mag[fit] / au[fit]))
-        near = (au > 0) & (au <= 0.5)
-        ok = bool(np.all(mag[near] <= 2.0 * C * au[near] + 1e-12))
-        return ok, C
-
-    ok_phi, c1 = tail_ok(phi)
-    ok_phid, c2 = tail_ok(phi_dual)
-    ok_psi, c3 = origin_ok(pair.psi)
-    ok_psid, c4 = origin_ok(pair.psi_dual)
-    return DecayReport(max(c1, c2, c3, c4), eps, ok_phi, ok_phid, ok_psi, ok_psid)
+    s = min(decay_exponent(bank.h), decay_exponent(bank.h_dual))
+    orders = [zero_order(g.classical_taps, 1.0)[0] for g in (bank.g, bank.g_dual)]
+    passed = s > 0.5 + DECAY_EPS and min(orders) >= 1
+    return Verdict(passed, s, f"{'' if passed else 'not '}certified: needs s > "
+                   f"{0.5 + DECAY_EPS:g} and origin orders >= 1; origin orders "
+                   f"g={orders[0]} g_dual={orders[1]}")
 
 
 def riesz_frame_bounds(pair: BiorthoWaveletPair, battery,
@@ -277,24 +235,26 @@ class RieszBoundsPair:
     A_dual: float
     B_dual: float
 
-    def duality_ok(self, slack: float = 0.1) -> bool:
-        """Thm-style duality: the primal lower bound dominates (1-slack)/B_dual."""
-        return self.A >= (1.0 - slack) / self.B_dual
+    def duality_ok(self) -> bool:
+        """Thm-style duality: A >= (1 - DUALITY_SLACK) / B_dual."""
+        return self.A >= (1.0 - DUALITY_SLACK) / self.B_dual
 
 
-def cross_level_orthogonality(pair: BiorthoWaveletPair, pairs_of_levels,
-                              n_gram: int = 4) -> float:
-    """max |<psi_(j,k), psi_dual_(j',k')>| over level pairs with j != j'."""
-    lo = min(pair.psi.t0, pair.psi_dual.t0) - (n_gram + 1) * 2.0
-    hi = max(pair.psi.t_end, pair.psi_dual.t_end) + (n_gram + 1) * 2.0
+def cross_level_orthogonality(pair: BiorthoWaveletPair, pairs_of_levels) -> float:
+    """max |<psi_(j,k), psi_dual_(j',k')>| over level pairs with j != j'
+    and |k|, |k'| <= CROSS_LEVEL_K."""
+    reach = (CROSS_LEVEL_K + 1) * 2.0
+    lo = min(pair.psi.t0, pair.psi_dual.t0) - reach
+    hi = max(pair.psi.t_end, pair.psi_dual.t_end) + reach
     dt = min(pair.psi.dt, pair.psi_dual.dt)
     grid = (lo, dt, int(math.ceil((hi - lo) / dt)) + 1)
+    ks = (-CROSS_LEVEL_K, CROSS_LEVEL_K, grid)
     worst = 0.0
     for j, jp in pairs_of_levels:
         if j == jp:
             raise ValueError("cross-level check requires j != j'")
-        P = level_atoms(pair.psi, pair.alpha, j, -n_gram, n_gram, grid)
-        D = level_atoms(pair.psi_dual, pair.alpha, jp, -n_gram, n_gram, grid)
+        P = level_atoms(pair.psi, pair.alpha, j, *ks)
+        D = level_atoms(pair.psi_dual, pair.alpha, jp, *ks)
         worst = max(worst, float(np.max(np.abs(P.gram(D)))))
     return worst
 
@@ -327,8 +287,7 @@ def load_bank(path) -> WaveletFilterBank:
         h = read("h")
         if h is None:
             raise InputError(f"{path}: missing lowpass 'h'")
-        return make_bank(h, read("h_dual"), read("g"), read("g_dual"),
-                         origin=LOADED)
+        return make_bank(h, read("h_dual"), read("g"), read("g_dual"))
     except (OSError, ValueError, TypeError, KeyError) as exc:
         if isinstance(exc, InputError):
             raise

@@ -20,6 +20,7 @@ from . import banks, biortho, mra, riesz, wavelets
 from .errors import FrwaveError, InputError
 from .frft import FrFTPlan, frft, inverse_frft
 from .grids import (
+    TAU_DEG,
     as_angle,
     read_signal_csv,
     read_spectrum_csv,
@@ -58,7 +59,7 @@ def _write_json(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, default_alpha: float = math.pi / 2.0) -> RunConfig:
     doc = {}
     if args.config:
         import json
@@ -70,7 +71,7 @@ def _config_from_args(args) -> RunConfig:
             raise InputError(f"bad config file {args.config}: not a JSON object")
     if args.alpha is not None:
         doc["alpha"] = parse_angle(args.alpha)
-    doc.setdefault("alpha", math.pi / 2.0)
+    doc.setdefault("alpha", default_alpha)
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.tol:
@@ -148,12 +149,12 @@ def cmd_riesz_check(args) -> int:
                                        tail_tol=cfg.tol("tail"))
     bounds = riesz.riesz_bounds(profile)
     passed = bounds.lower > 1e-3
+    vals = profile.real_values()
     doc = {
         "criterion": "riesz_bounds",
         "pass": passed,
-        "constant": float(np.mean(profile.real_values())),
-        "max_dev": float(np.max(profile.real_values())
-                         - np.min(profile.real_values())),
+        "constant": float(np.mean(vals)),
+        "max_dev": float(np.max(vals) - np.min(vals)),
         "bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "kmax": cfg.kmax,
         "grid_count": cfg.grid_count,
@@ -182,24 +183,34 @@ def cmd_mra_filter(args) -> int:
     phi = read_signal_csv(args.input)
     phi_dual = read_signal_csv(args.dual) if args.dual else None
     h = mra.scaling_filter(phi, cfg.alpha, (nmin, nmax), phi_dual)
-    if phi_dual is not None:
-        hd = mra.scaling_filter(phi_dual, cfg.alpha, (nmin, nmax), phi)
-    else:
-        hd = h
-    bank = biortho.make_bank(h, hd)
-    biortho.save_bank(args.output, bank)
+    hd = h if phi_dual is None else mra.scaling_filter(phi_dual, cfg.alpha,
+                                                       (nmin, nmax), phi)
+    biortho.save_bank(args.output, biortho.make_bank(h, hd))
     return 0
 
 
-def _load_or_builtin_bank(spec: str, alpha: float) -> biortho.WaveletFilterBank:
-    if spec == "haar":
-        taps, off = banks.haar_taps()
-        return biortho.make_bank(banks.fractional_taps(taps, off, alpha))
-    if spec == "cdf53":
-        h, off, hd, offd = banks.cdf53_taps()
-        return biortho.make_bank(banks.fractional_taps(h, off, alpha),
-                                 banks.fractional_taps(hd, offd, alpha))
-    return biortho.load_bank(spec)
+def _builtin_bank(name: str, alpha: float) -> biortho.WaveletFilterBank:
+    """The haar or cdf53 bank at the angle."""
+    if name == "haar":
+        return biortho.make_bank(banks.fractional_taps(*banks.haar_taps(), alpha))
+    h, off, hd, offd = banks.cdf53_taps()
+    return biortho.make_bank(banks.fractional_taps(h, off, alpha),
+                             banks.fractional_taps(hd, offd, alpha))
+
+
+def _config_and_bank(args) -> tuple[RunConfig, biortho.WaveletFilterBank]:
+    """The run's configuration and bank. A built-in bank is built at the run's
+    angle; a bank file's angle is the run's default angle, and a given angle
+    more than TAU_DEG from it (modulo 2 pi) is an InputError."""
+    if args.bank in ("haar", "cdf53"):
+        cfg = _config_from_args(args)
+        return cfg, _builtin_bank(args.bank, cfg.alpha)
+    bank = biortho.load_bank(args.bank)
+    cfg = _config_from_args(args, bank.alpha.alpha)
+    if abs(math.remainder(cfg.alpha - bank.alpha.alpha, 2.0 * math.pi)) > TAU_DEG:
+        raise InputError(f"{args.bank} holds a bank at alpha={bank.alpha.alpha!r}, "
+                         f"not at the run's alpha={cfg.alpha!r}")
+    return cfg, bank
 
 
 def _scaling_pair_for_bank(bank_spec: str, bank):
@@ -219,8 +230,7 @@ def _scaling_pair_for_bank(bank_spec: str, bank):
 
 
 def cmd_wavelet_build(args) -> int:
-    cfg = _config_from_args(args)
-    bank = _load_or_builtin_bank(args.bank, cfg.alpha)
+    cfg, bank = _config_and_bank(args)
     phi, phi_dual = _scaling_pair_for_bank(args.bank, bank)
     pair = biortho.wavelet_synthesize(bank, phi, phi_dual)
     out = Path(args.out_dir)
@@ -234,8 +244,7 @@ def cmd_wavelet_build(args) -> int:
 
 
 def cmd_frame_bounds(args) -> int:
-    cfg = _config_from_args(args)
-    bank = _load_or_builtin_bank(args.bank, cfg.alpha)
+    cfg, bank = _config_and_bank(args)
     phi, phi_dual = _scaling_pair_for_bank(args.bank, bank)
     pair = biortho.wavelet_synthesize(bank, phi, phi_dual)
     batt = wavelets.battery(cfg.seed, cfg.battery_size, BATTERY_GRID,
@@ -295,10 +304,8 @@ def _pipeline_report(command: str, cfg: RunConfig, bank,
                                        k_proj=cfg.k_proj)
     add("level_split", split <= cfg.tol("split"), split)
 
-    decay = biortho.decay_check(pair, phi, phi_dual, eps=0.05)
-    add("decay", decay.pass_phi and decay.pass_phi_dual
-        and decay.pass_psi_origin and decay.pass_psi_dual_origin, decay.C,
-        f"eps={decay.epsilon}")
+    decay = biortho.decay_check(bank)
+    add("decay", decay.passed, decay.value, decay.detail)
 
     fb, _, _ = biortho.riesz_frame_bounds(pair, batt, (-3, 4), (-32, 32))
     add("frame_duality", fb.duality_ok(), fb.A,
@@ -323,8 +330,7 @@ def _pipeline_report(command: str, cfg: RunConfig, bank,
 
 
 def cmd_report(args) -> int:
-    cfg = _config_from_args(args)
-    bank = _load_or_builtin_bank(args.bank, cfg.alpha)
+    cfg, bank = _config_and_bank(args)
     phi, phi_dual = _scaling_pair_for_bank(args.bank, bank)
     pair = biortho.wavelet_synthesize(bank, phi, phi_dual)
     out = Path(args.out_dir)
@@ -339,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--alpha", help="angle: pi/2, 2pi/3, or radians; overrides "
-                       "--config (default: the config's angle, else pi/2)")
+        p.add_argument("--alpha", help="angle: pi/2, 2pi/3, or radians; overrides --config "
+                       "(default: the config's, else a bank file's, else pi/2)")
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", action="append", metavar="NAME=VAL")

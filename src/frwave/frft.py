@@ -53,17 +53,13 @@ class FrFTPlan:
     output_grid: tuple[float, float, int]  # (u0, du, m)
 
     @classmethod
-    def for_signal(cls, f: SampledSignal, alpha,
-                   output_grid: tuple[float, float, int] | None = None) -> "FrFTPlan":
+    def for_signal(cls, f: SampledSignal, alpha) -> "FrFTPlan":
         """Plan with the natural centered output grid for this input."""
         angle = as_angle(alpha)
-        if output_grid is None:
-            if angle.is_regular:
-                du = 2.0 * math.pi * abs(angle.sin_alpha) / (f.n * f.dt)
-                output_grid = (-(f.n // 2) * du, du, f.n)
-            else:
-                output_grid = (f.t0, f.dt, f.n)
-        return cls(angle, output_grid)
+        if not angle.is_regular:
+            return cls(angle, (f.t0, f.dt, f.n))
+        du = 2.0 * math.pi * abs(angle.sin_alpha) / (f.n * f.dt)
+        return cls(angle, (-(f.n // 2) * du, du, f.n))
 
 
 def frft(f: SampledSignal, plan: FrFTPlan) -> SpectrumSamples:

@@ -44,13 +44,13 @@ class Angle:
     klass: str
 
     @classmethod
-    def from_radians(cls, alpha: float, tol: float = TAU_DEG) -> "Angle":
+    def from_radians(cls, alpha: float) -> "Angle":
         r = math.fmod(alpha, 2.0 * math.pi)
         if r < 0.0:
             r += 2.0 * math.pi
-        if min(r, 2.0 * math.pi - r) < tol:
+        if min(r, 2.0 * math.pi - r) < TAU_DEG:
             return cls(alpha, math.nan, math.nan, 0.0, IDENTITY)
-        if abs(r - math.pi) < tol:
+        if abs(r - math.pi) < TAU_DEG:
             return cls(alpha, math.nan, math.nan, 0.0, REFLECTION)
         s = math.sin(alpha)
         return cls(alpha, math.cos(alpha) / s, 1.0 / s, s, REGULAR)
@@ -132,9 +132,6 @@ class SampledSignal:
 
     def scaled(self, c: complex) -> "SampledSignal":
         return SampledSignal(self.t0, self.dt, c * self.values)
-
-    def plus(self, other: "SampledSignal") -> "SampledSignal":
-        return SampledSignal(self.t0, self.dt, self.values + other.values)
 
     def minus(self, other: "SampledSignal") -> "SampledSignal":
         return SampledSignal(self.t0, self.dt, self.values - other.values)

@@ -40,6 +40,9 @@ from .frft import chirp_modulate
 from .grids import Angle, SampledSignal, as_angle, box_signal, resample, trap_weights
 
 TAU_TAP = 1e-6
+ZERO_TOL = 1e-9        # p(z0) is zero when |p(z0)| <= ZERO_TOL * sum |coef|
+CERT_LEVELS = 8        # decay_exponent's longest product of dilated symbols
+CERT_GRID = 2 ** 13    # decay_exponent's samples of one period
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,13 @@ class ScalingFilter:
         if 0 <= i < self.taps.size:
             return complex(self.taps[i])
         return 0.0
+
+    @property
+    def classical_taps(self) -> np.ndarray:
+        """The dechirped taps h_c[n] = h[n] exp(i n^2 cot(alpha)/8)."""
+        angle = self.alpha.require_regular()
+        n = self.indices.astype(float)
+        return self.taps * np.exp(1j * (angle.cot_alpha / 8.0) * n ** 2)
 
 
 @dataclass(frozen=True)
@@ -179,11 +189,9 @@ def scaling_filter(phi: SampledSignal, alpha, support: tuple[int, int],
 
 def auxiliary_function(h: ScalingFilter, u) -> np.ndarray:
     """Lambda(u): periodic two-scale symbol of the taps (see module docstring)."""
-    angle = h.alpha.require_regular()
-    n = h.indices
     u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    coef = h.taps * np.exp(1j * (angle.cot_alpha / 8.0) * n * n) / math.sqrt(2.0)
-    out = tap_symbol(coef, h.offset, angle.csc_alpha * u_arr)
+    coef = h.classical_taps / math.sqrt(2.0)
+    out = tap_symbol(coef, h.offset, h.alpha.csc_alpha * u_arr)
     return out if np.ndim(u) else complex(out[0])
 
 
@@ -191,6 +199,38 @@ def tap_symbol(coef: np.ndarray, offset: int, omega: np.ndarray) -> np.ndarray:
     """sum_n coef[n - offset] exp(-i n omega), by Horner's rule in exp(-i omega)."""
     z = np.exp(-1j * omega)
     return np.polyval(coef[::-1], z) * z ** offset
+
+
+def zero_order(coef: np.ndarray, z0: float) -> tuple[int, np.ndarray]:
+    """Order of the zero at z0 of sum_n coef[n] z^n, and the quotient's coefs.
+
+    Divides by (z - z0) while |p(z0)| <= ZERO_TOL * sum |coef|.
+    """
+    tol = ZERO_TOL * float(np.sum(np.abs(coef)))
+    p, order = coef[::-1], 0
+    while p.size > 1 and abs(np.polyval(p, z0)) <= tol:
+        p, order = np.polydiv(p, np.array([1.0, -z0]))[0], order + 1
+    return order, p[::-1]
+
+
+def decay_exponent(h: ScalingFilter) -> float:
+    """Certified s: |phi_c^(w)| <= C (1 + |w|)^(-s) for the scaling function of h.
+
+    With m0 = ((1 + e^{-iw})/2)^N L, s = N - log2(sup_w prod_{i<k} |L(2^i w)|)/k
+    (Daubechies, Ten Lectures, 7.1.2), the best k <= CERT_LEVELS. The sup is
+    the maximum on CERT_GRID points (L(2^i w_m) is sample 2^i m mod CERT_GRID)
+    over Bernstein's factor 1 - pi D (2^k - 1)/CERT_GRID, D the degree of L.
+    A symbol that vanishes on the whole grid certifies nothing: s = -inf.
+    """
+    n_zeros, rest = zero_order(h.classical_taps / math.sqrt(2.0), -1.0)
+    mod_l = np.abs(np.fft.fft(rest * 2.0 ** n_zeros, CERT_GRID))
+    prod, m, best = np.ones(CERT_GRID), np.arange(CERT_GRID), -math.inf
+    for k in range(1, CERT_LEVELS + 1):
+        prod *= mod_l[(m << (k - 1)) % CERT_GRID]
+        bernstein = 1.0 - math.pi * (rest.size - 1) * (2 ** k - 1) / CERT_GRID
+        if bernstein > 0.0 and prod.any():
+            best = max(best, n_zeros - math.log2(float(np.max(prod)) / bernstein) / k)
+    return best
 
 
 def two_scale_apply(phi: SampledSignal, h: ScalingFilter,
@@ -216,12 +256,10 @@ def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
     the limit's normalization at every angle. Taps whose lowpass sum is not
     sqrt(2) within 1e-6 relative raise NonConvergent.
     """
-    angle = h.alpha
-    gain = abs(np.sum(h.taps * np.exp(1j * (angle.cot_alpha / 8.0)
-                                      * h.indices.astype(float) ** 2)))
+    gain = abs(np.sum(h.classical_taps))
     if abs(gain - math.sqrt(2.0)) > 1e-6 * math.sqrt(2.0):
         raise NonConvergent(f"lowpass normalization sum is {gain:.6g}, not sqrt(2)")
-    phi = chirp_modulate(box_signal(grid), angle, -1)
+    phi = chirp_modulate(box_signal(grid), h.alpha, -1)
     increments: list[float] = []
     rising = 0
     for _ in range(iterations):

@@ -63,9 +63,9 @@ class PeriodicProfile:
     def mean(self) -> complex:
         return complex(np.mean(self.values))
 
-    def real_values(self, tol: float = REAL_TOL) -> np.ndarray:
+    def real_values(self) -> np.ndarray:
         scale = max(1.0, float(np.max(np.abs(self.values))))
-        if np.max(np.abs(np.imag(self.values))) > tol * scale:
+        if np.max(np.abs(np.imag(self.values))) > REAL_TOL * scale:
             raise NotRealProfile("profile has a significant imaginary part")
         return np.real(self.values)
 
@@ -238,6 +238,5 @@ def dual_scaling(phi: SampledSignal, alpha, grid_count: int = 512,
         t0 = phi.t0 - margin
         count = phi.n + int(round(2 * margin / phi.dt))
         out_grid = (t0, phi.dt, count)
-    vals = spectrum_on_grid(spec_signal, angle.negated(),
-                            out_grid[0], out_grid[1], out_grid[2])
+    vals = spectrum_on_grid(spec_signal, angle.negated(), *out_grid)
     return SampledSignal(out_grid[0], out_grid[1], vals)

@@ -110,10 +110,9 @@ def _meyer_values(grid: tuple[float, float, int], n_omega: int = 8192) -> np.nda
     return spectrum_on_grid(spec, -math.pi / 2.0, *grid)
 
 
-def _check_coverage(atom: SampledSignal, psi: MotherWavelet,
-                    tol: float = COVERAGE_TOL) -> None:
+def _check_coverage(atom: SampledSignal, psi: MotherWavelet) -> None:
     ref = psi.signal.norm_sq()
-    if ref > 0 and atom.norm_sq() < (1.0 - 10.0 * tol) * ref:
+    if ref > 0 and atom.norm_sq() < (1.0 - 10.0 * COVERAGE_TOL) * ref:
         raise GridCoverage("atom mass outside the requested grid")
 
 

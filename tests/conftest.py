@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from frwave import SampledSignal, as_angle
+from frwave import SampledSignal, as_angle, spectrum_on_grid
 
 
 def gaussian_signal(grid, sigma=1.0, center=0.0, carrier=0.0, alpha=None):
@@ -39,3 +39,32 @@ def max_abs(a, b=None):
     if b is not None:
         a = a - np.asarray(b)
     return float(np.max(np.abs(a)))
+
+
+def decay_bounds(sig, alpha, w_max=64.0 * np.pi, count=4096):
+    """The sampled fits of a spectrum's decay, with windows in w = u csc(alpha).
+
+    |Theta_alpha(u)| = |F phi_c(w)| / sqrt|sin alpha|, so the fits read the
+    classical frequency w at every angle. Returns two predicates:
+    tail(s) fits C on |w| <= w_max/2 and asks |Theta| <= 1.1 C (1 + |w|)^(-s)
+    on w_max/2 < |w| <= w_max; origin(r) fits C on 0.5 <= |w| <= 2 and asks
+    |Theta| <= 2 C |w|^r on 0 < |w| <= 0.5.
+    """
+    angle = as_angle(alpha)
+    sin = abs(angle.sin_alpha)
+    du = 2.0 * w_max * sin / count
+    mag = np.abs(spectrum_on_grid(sig, angle, -w_max * sin, du, count + 1))
+    w = np.abs(-w_max + (du / sin) * np.arange(count + 1))
+
+    def tail(s):
+        inner = w <= w_max / 2.0
+        c = np.max(mag[inner] * (1.0 + w[inner]) ** s)
+        return bool(np.all(mag[~inner] <= 1.1 * c * (1.0 + w[~inner]) ** -s + 1e-12))
+
+    def origin(r):
+        fit = (w >= 0.5) & (w <= 2.0)
+        c = np.max(mag[fit] / w[fit] ** r)
+        near = (w > 0.0) & (w <= 0.5)
+        return bool(np.all(mag[near] <= 2.0 * c * w[near] ** r + 1e-12))
+
+    return tail, origin

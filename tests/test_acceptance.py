@@ -28,6 +28,7 @@ from frwave import (
     chirp_modulate,
     cross_level_orthogonality,
     cross_orthogonality_check,
+    decay_check,
     dual_scaling,
     expand_reconstruct,
     frft,
@@ -55,7 +56,7 @@ from frwave.banks import spectral_scaling_from_filter
 from frwave.cli import main as cli_main
 from frwave.grids import sample_at, trap_weights
 
-from conftest import gaussian_signal, max_abs
+from conftest import decay_bounds, gaussian_signal, max_abs
 
 GRID = (-20.0, 40.0 / 1024, 1024)
 
@@ -304,12 +305,13 @@ def test_criterion_9_negative_controls():
                                         math.pi / 2, [1e-1, 1e-2, 1e-3], n=8192)
         assert vals[1] > 1.5 * vals[0] and vals[2] > 1.2 * vals[1]
 
-        # the same profile used as a "wavelet" fails the origin decay bound
-        from frwave import BiorthoWaveletPair, decay_check
-        hp, _ = haar_system(as_angle(math.pi / 2))
-        ref = wavelet_synthesize(make_bank(haar_system(math.pi / 2)[1]), hp, hp)
-        fake = BiorthoWaveletPair(g, g, as_angle(math.pi / 2), ref.bank)
-        assert not decay_check(fake, g, g, eps=0.5).pass_psi_origin
+        # the same profile used as a "wavelet" fails the sampled origin bound
+        assert not decay_bounds(g, math.pi / 2)[1](1)
+        # and from the taps: the lazy primal sqrt(2) delta with the Haar dual
+        # is perfect reconstruction, but its g_dual does not vanish at 0
+        lazy = make_bank(ScalingFilter(np.array([math.sqrt(2.0)]), 0, ang), h)
+        assert matrix_condition_defect(lazy) < 1e-12
+        assert not decay_check(lazy).passed
 
 
 def test_criterion_10_report_determinism(tmp_path):

@@ -28,8 +28,10 @@ from frwave import (
     wavelet_synthesize,
 )
 from frwave.banks import spectral_scaling_from_filter
+from frwave.cli import _builtin_bank, _scaling_pair_for_bank
+from frwave.mra import decay_exponent, zero_order
 
-from conftest import gaussian_signal, max_abs
+from conftest import decay_bounds, gaussian_signal, max_abs
 
 
 def swapped(pair):
@@ -131,15 +133,42 @@ def test_expand_reconstruct_haar():
 
 
 def test_decay_check_gaussian_and_origin_flag():
-    angle = as_angle(math.pi / 2)
-    pair, phi, _ = haar_pair(angle)
+    # through the sampled oracle: a Gaussian decays faster than any power,
+    # and its transform does not vanish at the origin
     g = gaussian_signal((-12.0, 2.0 ** -7, 3072), sigma=1.0)
-    rep = decay_check(pair, g, g, eps=4.0)
-    assert rep.pass_phi and rep.pass_phi_dual
-    # a "wavelet" with nonvanishing transform at the origin fails the bound
-    fake = BiorthoWaveletPair(g, g, angle, pair.bank)
-    rep2 = decay_check(fake, g, g, eps=0.5)
-    assert not rep2.pass_psi_origin
+    tail, origin = decay_bounds(g, math.pi / 2)
+    assert tail(4.5)
+    assert not origin(1)
+    # from the taps: the lazy primal h = sqrt(2) delta with the Haar dual is
+    # perfect reconstruction, but g_dual, built from h, has no zero at 0
+    angle = as_angle(math.pi / 3)
+    lazy = ScalingFilter(np.array([math.sqrt(2.0)]), 0, angle)
+    verdict = decay_check(make_bank(lazy, haar_system(angle)[1]))
+    assert not verdict.passed
+    assert verdict.detail.startswith("not certified")
+    assert "g=1 g_dual=0" in verdict.detail
+
+
+@pytest.mark.parametrize("alpha", [0.05, math.pi / 3, 3.1])
+@pytest.mark.parametrize("name", ["haar", "cdf53"])
+def test_decay_certificate_holds_on_report_generators(name, alpha):
+    # the sampled fits, with windows in the classical frequency, accept the
+    # certified exponent and origin order of each generator, and refuse an
+    # exponent 0.25 larger and an order 1 higher
+    bank = _builtin_bank(name, alpha)
+    phi, phi_dual = _scaling_pair_for_bank(name, bank)
+    pair = wavelet_synthesize(bank, phi, phi_dual)
+    for sig, h in ((phi, bank.h), (phi_dual, bank.h_dual)):
+        tail, _ = decay_bounds(sig, alpha)
+        s = decay_exponent(h)
+        assert tail(s) and not tail(s + 0.25)
+    for sig, g in ((pair.psi, bank.g), (pair.psi_dual, bank.g_dual)):
+        _, origin = decay_bounds(sig, alpha)
+        order = zero_order(g.classical_taps, 1.0)[0]
+        assert order >= 1 and origin(order) and not origin(order + 1)
+    verdict = decay_check(bank)
+    assert verdict.passed and verdict.detail.startswith("certified")
+    assert verdict.value == pytest.approx(1.0 if name == "haar" else 0.6542, abs=1e-4)
 
 
 def test_riesz_frame_bounds_haar():

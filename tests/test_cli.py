@@ -3,7 +3,16 @@ import math
 
 import pytest
 
-from frwave import InputError, load_bank, read_signal_csv, write_signal_csv
+from frwave import (
+    InputError,
+    cdf53_taps,
+    fractional_taps,
+    load_bank,
+    make_bank,
+    read_signal_csv,
+    save_bank,
+    write_signal_csv,
+)
 from frwave.cli import main, parse_angle
 
 from conftest import gaussian_signal, max_abs
@@ -306,3 +315,40 @@ def test_negative_alpha_as_separate_token(tmp_path):
     spec = tmp_path / "spec.csv"
     assert main(["frft", str(src), "-o", str(spec), "--alpha", "-1e-1"]) == 0
     assert json.loads(spec.with_suffix(".json").read_text())["alpha"] == -0.1
+
+
+def saved_cdf53(tmp_path, alpha):
+    h, off, hd, offd = cdf53_taps()
+    path = tmp_path / "bank.json"
+    save_bank(path, make_bank(fractional_taps(h, off, alpha),
+                              fractional_taps(hd, offd, alpha)))
+    return path
+
+
+@pytest.mark.parametrize("command", ["report", "wavelet-build", "frame-bounds"])
+def test_bank_file_angle_mismatch_is_an_input_error(tmp_path, command, capsys):
+    # a bank saved at pi/3 and judged at pi/2 gives wrong numbers silently
+    bank = saved_cdf53(tmp_path, math.pi / 3)
+    out = ["-o", str(tmp_path / "fb.json")] if command == "frame-bounds" \
+        else ["--out-dir", str(tmp_path / "out")]
+    assert main([command, str(bank), "--alpha", "pi/2"] + out) == 2
+    assert "InputError" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 2.5}))
+    assert main([command, str(bank), "--config", str(cfg)] + out) == 2
+
+
+def test_bank_file_angle_is_the_run_angle(tmp_path):
+    bank = saved_cdf53(tmp_path, math.pi / 3)
+    outs = []
+    for name, alpha in (("own", []), ("given", ["--alpha", "pi/3"]),
+                        ("turn", ["--alpha", "7pi/3"])):
+        out = tmp_path / name
+        assert main(["report", str(bank), "--seed", "3", "--out-dir", str(out)]
+                    + alpha) == 0
+        outs.append(out)
+    assert json.loads((outs[0] / "report.json").read_text())["config"]["alpha"] \
+        == math.pi / 3
+    for name in ("report.json", "gram_profile.csv", "biortho_profile.csv",
+                 "residual_vs_j.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

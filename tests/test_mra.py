@@ -13,8 +13,11 @@ from frwave import (
     auxiliary_function,
     box_signal,
     cdf53_system,
+    cdf53_taps,
     chirp_modulate,
+    fractional_taps,
     haar_system,
+    haar_taps,
     hat_signal,
     level_atom,
     level_atoms,
@@ -255,3 +258,41 @@ def test_chirped_box_is_haar_scaling_profile():
     phi, _ = haar_system(angle, dt=2.0 ** -8)  # same grid by construction
     assert box.t0 == phi.t0 and box.n == phi.n
     assert max_abs(box.values, phi.values) < 1e-12
+
+
+def test_classical_taps_undo_the_angle():
+    h, off, hd, offd = cdf53_taps()
+    for alpha in (math.pi / 2, math.pi / 3, 0.05, 3.1):
+        assert max_abs(fractional_taps(h, off, alpha).classical_taps, h) < 1e-15
+        assert max_abs(fractional_taps(hd, offd, alpha).classical_taps, hd) < 1e-13
+
+
+def test_zero_order_counts_and_divides():
+    # (1 + z)^2 (1 - z) (2 + z) = 2 + 3z - z^2 - 3z^3 - z^4
+    coef = np.array([2.0, 3.0, -1.0, -3.0, -1.0])
+    order, rest = mra.zero_order(coef, -1.0)
+    assert order == 2 and max_abs(rest, [2.0, -1.0, -1.0]) < 1e-15
+    assert mra.zero_order(coef, 1.0)[0] == 1
+    assert mra.zero_order(np.array([1.0]), -1.0) == (0, np.array([1.0]))
+
+
+SQ2 = math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 2, math.pi / 3, 2.5, 0.05, 3.1])
+def test_decay_exponent_closed_forms(alpha):
+    h, off, hd, offd = cdf53_taps()
+    haar = fractional_taps(*haar_taps(), alpha)
+    # the box decays like 1/w and the hat like 1/w^2: L = 1, so s = N exactly
+    assert abs(mra.decay_exponent(haar) - 1.0) < 1e-12
+    assert abs(mra.decay_exponent(fractional_taps(h, off, alpha)) - 2.0) < 1e-12
+    # the cdf53 dual, L = 2 - cos w: below the exponent 2 - log2(5/2) = 0.678
+    # that the cycle {2pi/3, 4pi/3} allows, above 1/2 + 0.05
+    assert 0.65 < mra.decay_exponent(fractional_taps(hd, offd, alpha)) < 0.678
+    # stretched Haar: |L| = 2 on the cycle, where the box's transform vanishes;
+    # the lazy filter sqrt(2) delta has no zero at pi. Neither is certified.
+    stretched = fractional_taps(np.array([1.0, 0.0, 0.0, 1.0]) / SQ2, 0, alpha)
+    assert mra.decay_exponent(stretched) < 0.0
+    assert mra.decay_exponent(fractional_taps(np.array([SQ2]), 0, alpha)) == 0.0
+    # a symbol that vanishes everywhere has no scaling function to certify
+    assert mra.decay_exponent(ScalingFilter(np.zeros(2), 0, as_angle(alpha))) == -math.inf

@@ -27,7 +27,7 @@ from frwave import (
     translate_gram,
     wavelet_synthesize,
 )
-from frwave.cli import BATTERY_GRID, _load_or_builtin_bank, _scaling_pair_for_bank
+from frwave.cli import BATTERY_GRID, _builtin_bank, _scaling_pair_for_bank
 from frwave.mra import level_atom, level_atoms
 
 from conftest import gaussian_signal, max_abs
@@ -265,7 +265,7 @@ def full_gram(phi, dual, angle, n_gram):
 def report_pairs(request):
     """The four generator pairs whose translate Grams a report takes."""
     name, alpha = request.param
-    bank = _load_or_builtin_bank(name, alpha)
+    bank = _builtin_bank(name, alpha)
     phi, phi_dual = _scaling_pair_for_bank(name, bank)
     pair = wavelet_synthesize(bank, phi, phi_dual)
     return pair.alpha, [(phi, phi_dual), (pair.psi, pair.psi_dual),
