@@ -30,6 +30,7 @@ from .mra import (
     auxiliary_function,
     decay_exponent,
     level_atoms,
+    lowpass_sum_mismatch,
     project,
     two_scale_apply,
     zero_order,
@@ -284,10 +285,14 @@ def load_bank(path) -> WaveletFilterBank:
             taps = np.array([complex(re, im) for re, im in doc[name]])
             return ScalingFilter(taps, int(doc.get(name + "_offset", 0)), angle)
 
-        h = read("h")
+        h, h_dual = read("h"), read("h_dual")
         if h is None:
             raise InputError(f"{path}: missing lowpass 'h'")
-        return make_bank(h, read("h_dual"), read("g"), read("g_dual"))
+        for name, lowpass in (("h", h), ("h_dual", h_dual)):
+            why = lowpass is not None and lowpass_sum_mismatch(lowpass)
+            if why:
+                raise InputError(f"{path}: '{name}': {why}")
+        return make_bank(h, h_dual, read("g"), read("g_dual"))
     except (OSError, ValueError, TypeError, KeyError) as exc:
         if isinstance(exc, InputError):
             raise

@@ -89,14 +89,37 @@ def spectrum_on_grid(f: SampledSignal, alpha, u0: float, du: float,
     """
     angle = as_angle(alpha).require_regular()
     cot, csc = angle.cot_alpha, angle.csc_alpha
+    # outside _chirp_sum at most ~2.5 complex arrays of max(n, m) are live:
+    # each phase is built in one real buffer, and each temporary is dropped
+    # before the next is made. Operand order and expression shape keep the
+    # values bit for bit those of values * w * exp(1j * arg): numpy's complex
+    # products are not commutative bitwise, and numpy reuses a large
+    # temporary operand in place, so C * temp is computed as temp *= C
     j = np.arange(f.n)
     t = f.t0 + f.dt * j
-    u = u0 + du * np.arange(m)
-    x = f.values * trap_weights(f.n, f.dt) * np.exp(
-        1j * ((cot / 2.0) * t * t - csc * u0 * f.dt * j))
+    arg = (cot / 2.0) * t
+    arg *= t
+    arg -= np.multiply(csc * u0 * f.dt, j, out=t)
+    del t, j
+    phase = _unit_phase(arg)
+    del arg
+    x = f.values * trap_weights(f.n, f.dt)
+    x *= phase
+    del phase
     spec = _chirp_sum(x, csc * du * f.dt, m)
-    return kernel_constant(angle) * np.exp(
-        1j * ((cot / 2.0) * u * u - csc * f.t0 * u)) * spec
+    del x
+    u = u0 + du * np.arange(m)
+    arg = (cot / 2.0) * u
+    arg *= u
+    arg -= np.multiply(csc * f.t0, u, out=u)
+    del u
+    return kernel_constant(angle) * _unit_phase(arg) * spec
+
+
+def _unit_phase(arg: np.ndarray) -> np.ndarray:
+    """exp(1j * arg) for a real phase, in one complex buffer."""
+    out = np.multiply(1j, arg)
+    return np.exp(out, out=out)
 
 
 def _chirp_sum(x: np.ndarray, theta: float, m: int) -> np.ndarray:

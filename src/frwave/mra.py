@@ -247,6 +247,15 @@ def two_scale_defect(phi: SampledSignal, h: ScalingFilter) -> float:
     return float(np.max(np.abs(phi.values - recon.values)))
 
 
+def lowpass_sum_mismatch(h: ScalingFilter) -> str | None:
+    """Why h is no normalized lowpass, or None when |sum of its classical taps|
+    is sqrt(2) within 1e-6 relative."""
+    gain = abs(np.sum(h.classical_taps))
+    if abs(gain - math.sqrt(2.0)) > 1e-6 * math.sqrt(2.0):
+        return f"lowpass normalization sum is {gain:.6g}, not sqrt(2)"
+    return None
+
+
 def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
                    iterations: int = 40) -> tuple[SampledSignal, list[float]]:
     """Fixed-point iteration of the two-scale map from a box start.
@@ -256,9 +265,9 @@ def refine_cascade(h: ScalingFilter, grid: tuple[float, float, int],
     the limit's normalization at every angle. Taps whose lowpass sum is not
     sqrt(2) within 1e-6 relative raise NonConvergent.
     """
-    gain = abs(np.sum(h.classical_taps))
-    if abs(gain - math.sqrt(2.0)) > 1e-6 * math.sqrt(2.0):
-        raise NonConvergent(f"lowpass normalization sum is {gain:.6g}, not sqrt(2)")
+    why = lowpass_sum_mismatch(h)
+    if why:
+        raise NonConvergent(why)
     phi = chirp_modulate(box_signal(grid), h.alpha, -1)
     increments: list[float] = []
     rising = 0

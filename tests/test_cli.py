@@ -352,3 +352,19 @@ def test_bank_file_angle_is_the_run_angle(tmp_path):
     for name in ("report.json", "gram_profile.csv", "biortho_profile.csv",
                  "residual_vs_j.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("taps", [
+    {"h": [[0, 0], [0, 0]]},
+    {"h": [[1, 0], [1, 0]]},
+    {"h": [[0.7071067811865476, 0], [0.7071067811865476, 0]], "h_dual": [[1, 0], [1, 0]]},
+], ids=["zero", "sum-2", "dual-sum-2"])
+def test_unnormalized_lowpass_bank_is_an_input_error(tmp_path, taps, capsys):
+    # a lowpass whose taps do not sum to sqrt(2) ran the whole pipeline and
+    # ended in a verdict failure or an error about the battery
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({"alpha": math.pi / 2, "h_offset": 0, **taps}))
+    out = tmp_path / "out"
+    assert main(["report", str(bank), "--out-dir", str(out)]) == 2
+    assert "not sqrt(2)" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,3 +211,55 @@ def test_chirp_sum_matches_dense_sum(n, m, data, sign):
     want = np.exp(-1j * theta * np.outer(np.arange(m), np.arange(n))) @ x
     got = _chirp_sum(x, theta, m)
     assert max_abs(got, want) < 1e-10 * np.sum(np.abs(x))
+
+
+def test_frft_peak_memory_within_three_arrays():
+    # the chirp-z core holds ~2.5 complex arrays of the input's length at its
+    # peak, result included; the budget is 3 (12.6 MB on 2^18 samples)
+    n = 2 ** 18
+    f = gaussian_signal((-(n // 2) * 2.0 ** -9, 2.0 ** -9, n), sigma=4.0)
+    plan = FrFTPlan.for_signal(f, math.pi / 3)
+
+    def peak(call):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        _, seen = peak(lambda: np.ones(n, dtype=np.complex128))
+        F, forward = peak(lambda: frft(f, plan))
+        _, inverse = peak(lambda: inverse_frft(F, (f.t0, f.dt, f.n)))
+    finally:
+        tracemalloc.stop()
+    assert seen >= 16 * n, "tracemalloc does not see numpy's arrays"
+    assert forward <= 3 * 16 * n
+    assert inverse <= 3 * 16 * n
+
+
+@pytest.mark.parametrize("case", ["natural", "folded", "bluestein", "identity",
+                                  "reflection", "inverse"])
+def test_transforms_leave_their_input_alone(case, bluestein_calls):
+    # the core reuses its own buffers in place: the input's values stay
+    # bitwise unchanged, a second call gives the same values, and the result
+    # shares no memory with the input
+    f = gaussian_signal(GRID, sigma=1.0, carrier=0.5)
+    angle = as_angle(math.pi / 3)
+    du = 2.0 * math.pi * angle.sin_alpha / (256 * f.dt)    # folds n = 1024 onto N = 256
+    F = frft(f, FrFTPlan.for_signal(f, angle))
+    source, call = {
+        "natural": (f, lambda: frft(f, FrFTPlan.for_signal(f, angle)).values),
+        "folded": (f, lambda: spectrum_on_grid(f, angle, -150 * du, du, 300)),
+        "bluestein": (f, lambda: spectrum_on_grid(f, angle, -6.0, 0.05, 241)),
+        "identity": (f, lambda: frft(f, FrFTPlan.for_signal(f, 2.0 * math.pi)).values),
+        "reflection": (f, lambda: frft(f, FrFTPlan.for_signal(f, -math.pi)).values),
+        "inverse": (F, lambda: inverse_frft(F, GRID).values),
+    }[case]
+    before = source.values.copy()
+    bluestein_calls.clear()
+    first, second = call(), call()
+    assert source.values.tobytes() == before.tobytes()
+    assert first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, source.values)
+    assert bool(bluestein_calls) == (case == "bluestein")
